@@ -10,7 +10,7 @@
 //   ./build/bench/ext_capture [--ticks=N] [--json=FILE]
 //       [--capture-file=FILE]
 //
-// --json writes a machine-readable summary; tools/run_capture_bench.sh
+// --json writes a machine-readable summary; tools/run_ext_bench.sh capture
 // wraps this into BENCH_capture.json for CI artifacts. The capture file
 // itself is scratch output and is deleted on exit.
 

@@ -14,7 +14,7 @@
 //
 //   ./build/bench/ext_faults [--ticks=N] [--threads=N] [--json=FILE]
 //
-// --json writes a machine-readable summary; tools/run_faults_bench.sh
+// --json writes a machine-readable summary; tools/run_ext_bench.sh faults
 // wraps this into BENCH_faults.json for CI artifacts.
 
 #include <algorithm>

@@ -9,7 +9,7 @@
 //
 //   ./build/bench/ext_learner [--ticks=N] [--json=FILE]
 //
-// --json writes a machine-readable summary; tools/run_learner_bench.sh
+// --json writes a machine-readable summary; tools/run_ext_bench.sh learner
 // wraps this into BENCH_learner.json for CI artifacts.
 
 #include <chrono>

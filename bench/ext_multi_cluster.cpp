@@ -11,7 +11,7 @@
 //   ./build/bench/ext_multi_cluster [--ticks=N] [--threads=N] [--json=FILE]
 //
 // --json writes a machine-readable summary (ticks/sec vs. domain count);
-// tools/run_multicluster_bench.sh wraps this into BENCH_multicluster.json
+// tools/run_ext_bench.sh multicluster wraps this into BENCH_multicluster.json
 // for CI artifacts. Speedups track the machine's core count: on a
 // single-core host the pool cannot beat the serial path.
 

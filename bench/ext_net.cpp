@@ -9,7 +9,7 @@
 //
 //   ./build/bench/ext_net [--ticks=N] [--json=FILE]
 //
-// --json writes a machine-readable summary; tools/run_net_bench.sh
+// --json writes a machine-readable summary; tools/run_ext_bench.sh net
 // wraps this into BENCH_net.json for CI artifacts.
 
 #include <chrono>

@@ -20,7 +20,7 @@
 //
 //   ./build/bench/ext_sim_shards [--ticks=N] [--threads=N] [--json=FILE]
 //
-// --json writes a machine-readable summary; tools/run_simshards_bench.sh
+// --json writes a machine-readable summary; tools/run_ext_bench.sh simshards
 // wraps this into BENCH_simshards.json for CI artifacts. Speedups track
 // the host's core count: on a single-core machine the sharded loop
 // cannot beat the serial one (~1.0x, the bench says so) — but the

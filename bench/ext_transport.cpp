@@ -8,7 +8,7 @@
 //
 //   ./build/bench/ext_transport [--ticks=N] [--threads=N] [--json=FILE]
 //
-// --json writes a machine-readable summary; tools/run_transport_bench.sh
+// --json writes a machine-readable summary; tools/run_ext_bench.sh transport
 // wraps this into BENCH_transport.json for CI artifacts.
 
 #include <chrono>

@@ -1,9 +1,6 @@
 #include "bus/transport.hpp"
 
 #include <cmath>
-#include <cstdio>
-
-#include "util/parse.hpp"
 
 namespace capes::bus {
 
@@ -92,146 +89,58 @@ std::unique_ptr<Transport> make_transport(const TransportOptions& opts) {
 
 namespace {
 
-bool spec_fail(std::string* error, std::string message) {
-  if (error) *error = std::move(message);
-  return false;
+/// The option rows of a scheme (sync has none).
+std::span<const util::Option<TransportOptions>> transport_options(
+    TransportKind kind) {
+  if (kind == TransportKind::kSim) return kSimTransportOptions;
+  if (kind == TransportKind::kTcp) return kTcpTransportOptions;
+  return {};
 }
 
 }  // namespace
 
 bool parse_transport_spec(std::string_view spec, TransportOptions* out,
                           std::string* error) {
-  TransportOptions parsed;
-  std::string_view scheme = spec;
-  std::string_view opts_part;
   const std::size_t colon = spec.find(':');
-  if (colon != std::string_view::npos) {
-    scheme = spec.substr(0, colon);
-    opts_part = spec.substr(colon + 1);
+  const std::string_view scheme = spec.substr(0, colon);
+  const auto kind = util::find_name(kTransportNames, scheme);
+  if (!kind) {
+    return util::reject(error, "unknown transport '" + std::string(scheme) +
+                                   "' (expected " +
+                                   util::join_names(kTransportNames) + ")");
   }
-
-  if (scheme == "sync") {
-    parsed.kind = TransportKind::kSync;
+  TransportOptions parsed;
+  parsed.kind = static_cast<TransportKind>(*kind);
+  if (parsed.kind == TransportKind::kSync) {
     if (colon != std::string_view::npos) {
-      return spec_fail(error, "transport 'sync' takes no options");
+      return util::reject(error, "transport 'sync' takes no options");
     }
-  } else if (scheme == "sim") {
-    parsed.kind = TransportKind::kSim;
-  } else if (scheme == "tcp") {
-    parsed.kind = TransportKind::kTcp;
-  } else {
-    return spec_fail(error, "unknown transport '" + std::string(scheme) +
-                                "' (expected sync, sim, or tcp)");
+  } else if (!util::parse_options(
+                 transport_options(parsed.kind),
+                 colon == std::string_view::npos ? std::string_view{}
+                                                 : spec.substr(colon + 1),
+                 parsed.kind == TransportKind::kTcp ? "tcp transport option"
+                                                    : "transport option",
+                 &parsed, error)) {
+    return false;
   }
-
-  bool saw_host = false;
-  bool saw_port = false;
-  while (!opts_part.empty()) {
-    const std::size_t comma = opts_part.find(',');
-    std::string_view item = opts_part.substr(0, comma);
-    opts_part = comma == std::string_view::npos
-                    ? std::string_view{}
-                    : opts_part.substr(comma + 1);
-    const std::size_t eq = item.find('=');
-    if (eq == std::string_view::npos || eq == 0) {
-      return spec_fail(error, "malformed transport option '" +
-                                  std::string(item) + "' (expected key=value)");
-    }
-    const std::string_view key = item.substr(0, eq);
-    const std::string_view value = item.substr(eq + 1);
-    if (parsed.kind == TransportKind::kTcp) {
-      if (key == "host") {
-        if (value.empty()) {
-          return spec_fail(error, "host must be non-empty");
-        }
-        parsed.tcp_host = std::string(value);
-        saw_host = true;
-      } else if (key == "port") {
-        if (!util::parse_i64(value, &parsed.tcp_port) || parsed.tcp_port < 1 ||
-            parsed.tcp_port > 65535) {
-          return spec_fail(error, "port must be an integer in [1, 65535], "
-                                  "got '" + std::string(value) + "'");
-        }
-        saw_port = true;
-      } else if (key == "connect_timeout_ms") {
-        if (!util::parse_i64(value, &parsed.connect_timeout_ms) ||
-            parsed.connect_timeout_ms < 0) {
-          return spec_fail(error, "connect_timeout_ms must be an integer "
-                                  ">= 0, got '" + std::string(value) + "'");
-        }
-      } else if (key == "io_threads") {
-        if (!util::parse_i64(value, &parsed.io_threads) ||
-            parsed.io_threads < 1 || parsed.io_threads > 64) {
-          return spec_fail(error, "io_threads must be an integer in [1, 64], "
-                                  "got '" + std::string(value) + "'");
-        }
-      } else {
-        return spec_fail(error, "unknown tcp transport option '" +
-                                    std::string(key) + "' (expected host, "
-                                    "port, connect_timeout_ms, or io_threads)");
-      }
-      continue;
-    }
-    if (key == "latency_ticks") {
-      if (!util::parse_i64(value, &parsed.latency_ticks) ||
-          parsed.latency_ticks < 0) {
-        return spec_fail(error, "latency_ticks must be an integer >= 0, got '" +
-                                    std::string(value) + "'");
-      }
-    } else if (key == "jitter") {
-      if (!util::parse_double(value, &parsed.jitter) || parsed.jitter < 0.0) {
-        return spec_fail(error, "jitter must be a number >= 0, got '" +
-                                    std::string(value) + "'");
-      }
-    } else if (key == "drop") {
-      if (!util::parse_double(value, &parsed.drop) || parsed.drop < 0.0 ||
-          parsed.drop >= 1.0) {
-        return spec_fail(error, "drop must be a probability in [0, 1), got '" +
-                                    std::string(value) + "'");
-      }
-    } else if (key == "seed") {
-      if (!util::parse_u64(value, &parsed.seed)) {
-        return spec_fail(error, "seed must be an unsigned integer, got '" +
-                                    std::string(value) + "'");
-      }
-      parsed.seed_explicit = true;
-    } else {
-      return spec_fail(error, "unknown transport option '" + std::string(key) +
-                                  "' (expected latency_ticks, jitter, drop, "
-                                  "or seed)");
-    }
-  }
-  if (parsed.kind == TransportKind::kTcp) {
-    if (!saw_host) {
-      return spec_fail(error, "tcp transport requires host=.. in '" +
-                                  std::string(spec) + "'");
-    }
-    if (!saw_port) {
-      return spec_fail(error, "tcp transport requires port=.. in '" +
-                                  std::string(spec) + "'");
-    }
+  // host and port (rows 0 and 1) have no usable defaults: a tcp spec
+  // names both.
+  if (parsed.kind == TransportKind::kTcp &&
+      (parsed.tcp_host.empty() || parsed.tcp_port == 0)) {
+    const auto& missing = kTcpTransportOptions[parsed.tcp_host.empty() ? 0 : 1];
+    return util::reject(error, "tcp transport requires " +
+                                   std::string(missing.key) + "=.. in '" +
+                                   std::string(spec) + "'");
   }
   *out = parsed;
   return true;
 }
 
 std::string transport_spec_string(const TransportOptions& opts) {
-  if (opts.kind == TransportKind::kSync) return "sync";
-  if (opts.kind == TransportKind::kTcp) {
-    return "tcp:host=" + opts.tcp_host + ",port=" +
-           std::to_string(opts.tcp_port) +
-           ",connect_timeout_ms=" + std::to_string(opts.connect_timeout_ms) +
-           ",io_threads=" + std::to_string(opts.io_threads);
-  }
-  std::string spec = "sim:latency_ticks=" + std::to_string(opts.latency_ticks);
-  // %.17g is the shortest printf precision that reproduces any double
-  // exactly, keeping the documented round-trip value-lossless.
-  char buffer[96];
-  std::snprintf(buffer, sizeof(buffer), ",jitter=%.17g,drop=%.17g",
-                opts.jitter, opts.drop);
-  spec += buffer;
-  if (opts.seed_explicit) spec += ",seed=" + std::to_string(opts.seed);
-  return spec;
+  std::string spec(kTransportNames[static_cast<std::size_t>(opts.kind)]);
+  if (opts.kind == TransportKind::kSync) return spec;
+  return spec + ':' + util::format_options(transport_options(opts.kind), opts);
 }
 
 }  // namespace capes::bus

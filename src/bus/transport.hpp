@@ -30,6 +30,8 @@
 #include <string>
 #include <string_view>
 
+#include "util/options.hpp"
+
 namespace capes::bus {
 
 /// A transport's verdict for one message.
@@ -42,10 +44,13 @@ struct Delivery {
 
 enum class TransportKind { kSync, kSim, kTcp };
 
+/// Spec schemes (and capes.transport conf values), indexed by TransportKind.
+inline constexpr std::string_view kTransportNames[] = {"sync", "sim", "tcp"};
+
 /// Parsed form of a transport spec. The CLI / config grammar:
 ///   sync
 ///   sim[:latency_ticks=N,jitter=X,drop=P,seed=N]
-///   tcp:host=H,port=N[,connect_timeout_ms=N,io_threads=N]
+///   tcp:host=H,port=N[,connect_timeout_ms=N]
 struct TransportOptions {
   TransportKind kind = TransportKind::kSync;
   /// Fixed delivery delay in sampling ticks (sim only).
@@ -68,10 +73,22 @@ struct TransportOptions {
   /// Connect retry budget: capes_agentd retries with capped backoff until
   /// this deadline (tcp only).
   std::int64_t connect_timeout_ms = 5000;
-  /// Reserved for multi-endpoint daemons; today each endpoint owns
-  /// exactly one I/O thread, so only 1..64 is accepted and values > 1
-  /// change nothing yet.
-  std::int64_t io_threads = 1;
+};
+
+/// The sim: spec options; conf keys are capes.transport.<key>.
+inline constexpr util::Option<TransportOptions> kSimTransportOptions[] = {
+    {"latency_ticks", CAPES_FIELD(latency_ticks), util::at_least(0)},
+    {"jitter", CAPES_FIELD(jitter), util::at_least(0)},
+    {"drop", CAPES_FIELD(drop), util::probability()},
+    {"seed", CAPES_FIELD(seed), {}, {}, CAPES_FIELD(seed_explicit)},
+};
+
+/// The tcp: spec options; conf keys are capes.transport.tcp.<key>. A conf
+/// port clamps into [0, 65535], where a spec rejects 0.
+inline constexpr util::Option<TransportOptions> kTcpTransportOptions[] = {
+    {"host", CAPES_FIELD(tcp_host)},
+    {"port", CAPES_FIELD(tcp_port), {.lo = 1, .hi = 65535, .clamp_lo = 0}},
+    {"connect_timeout_ms", CAPES_FIELD(connect_timeout_ms), util::at_least(0)},
 };
 
 /// Transport policy: decides each message's fate. Implementations must be
@@ -164,16 +181,14 @@ std::unique_ptr<Transport> make_transport(const TransportOptions& opts);
 /// Parse "sync" / "sim[:k=v,...]" / "tcp:host=..,port=..[,...]" into
 /// *out. Returns false (with a human-readable *error echoing the
 /// offending key or token, if non-null) on an unknown scheme, an unknown
-/// option key, a malformed value, or an out-of-range value
-/// (latency_ticks < 0, jitter < 0, drop outside [0, 1), port outside
-/// [1, 65535], connect_timeout_ms < 0, io_threads outside [1, 64], or a
-/// tcp spec missing host or port).
+/// option key, a malformed or out-of-range value (the rows above), or a
+/// tcp spec missing host or port.
 bool parse_transport_spec(std::string_view spec, TransportOptions* out,
                           std::string* error = nullptr);
 
 /// Canonical spec string for `opts` ("sync", "sim:latency_ticks=..."
 /// listing every sim knob with seed only when explicitly set, or
-/// "tcp:host=..,port=..,connect_timeout_ms=..,io_threads=..").
+/// "tcp:host=..,port=..,connect_timeout_ms=..").
 /// Round-trips through parse_transport_spec.
 std::string transport_spec_string(const TransportOptions& opts);
 

@@ -1,290 +1,147 @@
 #include "core/config_io.hpp"
 
-#include <algorithm>
+#include "util/options.hpp"
+#include "util/parse.hpp"
 
 namespace capes::core {
+
+namespace {
+
+// The one row whose conf spelling is wider than its type: "auto" (or 0)
+// is one event queue per control domain, and negatives run the serial
+// loop. Read and written by the short rules beside the tables.
+constexpr std::string_view kSimShardsKey = "capes.sim.shards";
+
+// Conf prefixes of the spec rows declared next to their structs
+// (bus::kSimTransportOptions, bus::kTcpTransportOptions,
+// sim::kFaultOptions).
+constexpr std::string_view kTransportPrefix = "capes.transport.";
+constexpr std::string_view kTcpPrefix = "capes.transport.tcp.";
+constexpr std::string_view kFaultPrefix = "capes.sim.faults.";
+
+constexpr util::Option<CapesOptions> kCapesOptions[] = {
+    {"capes.sampling_tick_s", CAPES_FIELD(sampling_tick_s)},
+    {"capes.reward_scale_mbs", CAPES_FIELD(reward_scale_mbs)},
+    {"capes.replay_db_dir", CAPES_FIELD(replay_db_dir)},
+    // Flight recorder: a capture path turns recording on; the ring bounds
+    // how far the file sink may fall behind before records are shed.
+    {"capes.capture.path", CAPES_FIELD(capture_path)},
+    {"capes.capture.ring", CAPES_FIELD(capture_ring), util::at_least(2)},
+    {"capes.worker_threads", CAPES_FIELD(worker_threads)},
+    {kSimShardsKey, CAPES_FIELD(sim_shards)},
+    {"capes.sim.shard_plan", CAPES_FIELD(shard_plan), {}, sim::kShardPlanNames},
+    {"capes.transport", CAPES_FIELD(transport.kind), {}, bus::kTransportNames},
+    {"capes.learner.mode", CAPES_FIELD(engine.learner_mode), {},
+     kLearnerModeNames},
+    {"capes.learner.checkpoint_ticks", CAPES_FIELD(engine.checkpoint_ticks)},
+    {"drl.minibatch_size", CAPES_FIELD(engine.minibatch_size)},
+    {"drl.train_steps_per_tick", CAPES_FIELD(engine.train_steps_per_tick)},
+    {"drl.eval_epsilon", CAPES_FIELD(engine.eval_epsilon)},
+    {"drl.gamma", CAPES_FIELD(engine.dqn.gamma)},
+    {"drl.learning_rate", CAPES_FIELD(engine.dqn.learning_rate)},
+    {"drl.target_update_alpha", CAPES_FIELD(engine.dqn.target_update_alpha)},
+    {"drl.num_hidden_layers", CAPES_FIELD(engine.dqn.num_hidden_layers)},
+    {"drl.hidden_size", CAPES_FIELD(engine.dqn.hidden_size)},
+    {"drl.use_target_network", CAPES_FIELD(engine.dqn.use_target_network)},
+    {"drl.epsilon_initial", CAPES_FIELD(engine.epsilon.initial)},
+    {"drl.epsilon_final", CAPES_FIELD(engine.epsilon.final_value)},
+    {"drl.epsilon_anneal_ticks", CAPES_FIELD(engine.epsilon.anneal_ticks)},
+    {"drl.epsilon_bump", CAPES_FIELD(engine.epsilon.bump_value)},
+    {"replay.ticks_per_observation", CAPES_FIELD(replay.ticks_per_observation)},
+    {"replay.missing_tolerance", CAPES_FIELD(replay.missing_tolerance)},
+    {"replay.max_ticks_retained", CAPES_FIELD(replay.max_ticks_retained)},
+};
+
+constexpr util::Option<lustre::ClusterOptions> kClusterOptions[] = {
+    {"lustre.num_clients", CAPES_FIELD(num_clients)},
+    {"lustre.num_servers", CAPES_FIELD(num_servers)},
+    {"lustre.default_cwnd", CAPES_FIELD(default_cwnd)},
+    {"lustre.cwnd_min", CAPES_FIELD(cwnd_min)},
+    {"lustre.cwnd_max", CAPES_FIELD(cwnd_max)},
+    {"lustre.cwnd_step", CAPES_FIELD(cwnd_step)},
+    {"lustre.default_rate_limit", CAPES_FIELD(default_rate_limit)},
+    {"lustre.rate_limit_min", CAPES_FIELD(rate_limit_min)},
+    {"lustre.rate_limit_max", CAPES_FIELD(rate_limit_max)},
+    {"lustre.rate_limit_step", CAPES_FIELD(rate_limit_step)},
+    {"lustre.max_dirty_bytes", CAPES_FIELD(max_dirty_bytes)},
+    {"lustre.rpc_timeout_us", CAPES_FIELD(rpc_timeout)},
+    {"lustre.fragmentation", CAPES_FIELD(fragmentation)},
+    {"lustre.disk_fullness", CAPES_FIELD(disk_fullness)},
+    {"lustre.seed", CAPES_FIELD(seed)},
+    {"disk.seq_read_mbs", CAPES_FIELD(disk.seq_read_mbs)},
+    {"disk.seq_write_mbs", CAPES_FIELD(disk.seq_write_mbs)},
+    {"disk.read_positioning_us", CAPES_FIELD(disk.read_positioning_us)},
+    {"disk.write_positioning_us", CAPES_FIELD(disk.write_positioning_us)},
+    {"disk.write_queue_gain", CAPES_FIELD(disk.write_queue_gain)},
+    {"disk.write_queue_scale", CAPES_FIELD(disk.write_queue_scale)},
+    {"disk.read_queue_gain", CAPES_FIELD(disk.read_queue_gain)},
+    {"disk.read_queue_scale", CAPES_FIELD(disk.read_queue_scale)},
+    {"disk.service_noise", CAPES_FIELD(disk.service_noise)},
+    {"network.link_bandwidth_mbs", CAPES_FIELD(network.link_bandwidth_mbs)},
+    {"network.fabric_bandwidth_mbs", CAPES_FIELD(network.fabric_bandwidth_mbs)},
+    {"network.base_latency_us", CAPES_FIELD(network.base_latency)},
+    {"network.jitter_fraction", CAPES_FIELD(network.jitter_fraction)},
+};
+
+}  // namespace
+
+bool check_config(const util::Config& cfg, std::string* error) {
+  for (const auto& row : kCapesOptions) {
+    const auto value = cfg.get(std::string(row.key));
+    if (value && !row.names.empty() && !util::find_name(row.names, *value)) {
+      return util::reject(error, "unknown " + std::string(row.key) + " '" +
+                                     *value + "' (expected " +
+                                     util::join_names(row.names) + ")");
+    }
+  }
+  std::int64_t shards = 0;
+  if (const auto value = cfg.get(std::string(kSimShardsKey));
+      value && *value != "auto" && !util::parse_i64(*value, &shards)) {
+    return util::reject(error, "invalid " + std::string(kSimShardsKey) + " '" +
+                                   *value + "' (expected auto or an integer)");
+  }
+  return true;
+}
 
 CapesOptions capes_options_from_config(const util::Config& cfg,
                                        CapesOptions base) {
   CapesOptions o = base;
-  o.sampling_tick_s = cfg.get_double("capes.sampling_tick_s", o.sampling_tick_s);
-  o.reward_scale_mbs = cfg.get_double("capes.reward_scale_mbs", o.reward_scale_mbs);
-  o.replay_db_dir = cfg.get("capes.replay_db_dir", o.replay_db_dir);
-  // Flight recorder: a capture file path turns recording on; the ring
-  // size bounds how far the file sink may fall behind before records are
-  // shed (counted, never blocking the control thread).
-  o.capture_path = cfg.get("capes.capture.path", o.capture_path);
-  o.capture_ring = static_cast<std::size_t>(std::max<std::int64_t>(
-      2, cfg.get_int("capes.capture.ring",
-                     static_cast<std::int64_t>(o.capture_ring))));
-  // Clamp negatives to "no pool" rather than wrapping through size_t.
-  o.worker_threads = static_cast<std::size_t>(std::max<std::int64_t>(
-      0, cfg.get_int("capes.worker_threads",
-                     static_cast<std::int64_t>(o.worker_threads))));
-  // Simulator event-loop sharding: "auto" (or 0) = one event queue per
-  // control domain; N >= 1 caps the queue count (1 = the serial loop).
-  // Negatives clamp to the serial loop, like every other overlay key.
-  if (const auto shards = cfg.get("capes.sim.shards")) {
-    if (*shards == "auto") {
-      o.sim_shards = 0;
-    } else {
-      const std::int64_t n = cfg.get_int(
-          "capes.sim.shards", static_cast<std::int64_t>(o.sim_shards));
-      o.sim_shards = n < 0 ? 1 : static_cast<std::size_t>(n);
-    }
+  util::read_options(kCapesOptions, cfg, "", &o);
+  util::read_options(bus::kSimTransportOptions, cfg, kTransportPrefix,
+                     &o.transport);
+  util::read_options(bus::kTcpTransportOptions, cfg, kTcpPrefix, &o.transport);
+  util::read_options(sim::kFaultOptions, cfg, kFaultPrefix, &o.faults);
+  if (const auto shards = cfg.get(std::string(kSimShardsKey))) {
+    std::int64_t n = 0;
+    if (*shards == "auto") o.sim_shards = 0;
+    if (util::parse_i64(*shards, &n) && n < 0) o.sim_shards = 1;
   }
-  // Domain-to-shard placement: "static" round-robin or "rate" (re-pack by
-  // observed event rate at phase boundaries). Unknown values keep the
-  // base, overlay-style; the builder's config_file path validates first.
-  const std::string plan = cfg.get("capes.sim.shard_plan",
-                                   sim::shard_plan_name(o.shard_plan));
-  o.shard_plan = plan == "rate" ? sim::ShardPlanKind::kRate
-                                : sim::ShardPlanKind::kStatic;
-
-  // Control-network transport. "capes.transport" names the scheme; the
-  // sim knobs mirror the CLI spec options. Out-of-range values clamp to
-  // the nearest valid one (config files are overlays, not validators —
-  // the CLI/spec path rejects instead).
-  const std::string scheme =
-      cfg.get("capes.transport",
-              o.transport.kind == bus::TransportKind::kSim   ? "sim"
-              : o.transport.kind == bus::TransportKind::kTcp ? "tcp"
-                                                             : "sync");
-  o.transport.kind = scheme == "sim"   ? bus::TransportKind::kSim
-                     : scheme == "tcp" ? bus::TransportKind::kTcp
-                                       : bus::TransportKind::kSync;
-  o.transport.latency_ticks = std::max<std::int64_t>(
-      0, cfg.get_int("capes.transport.latency_ticks", o.transport.latency_ticks));
-  o.transport.jitter =
-      std::max(0.0, cfg.get_double("capes.transport.jitter", o.transport.jitter));
-  o.transport.drop = std::clamp(
-      cfg.get_double("capes.transport.drop", o.transport.drop), 0.0, 0.999);
-  if (cfg.has("capes.transport.seed")) {
-    o.transport.seed = static_cast<std::uint64_t>(
-        cfg.get_int("capes.transport.seed",
-                    static_cast<std::int64_t>(o.transport.seed)));
-    o.transport.seed_explicit = true;
-  }
-  // The tcp endpoint: where capes_daemond listens. The port clamps into
-  // the valid range like the other numeric overlays; the strict
-  // CLI/spec path rejects instead.
-  o.transport.tcp_host = cfg.get("capes.transport.tcp.host", o.transport.tcp_host);
-  o.transport.tcp_port = std::clamp<std::int64_t>(
-      cfg.get_int("capes.transport.tcp.port", o.transport.tcp_port), 0, 65535);
-  o.transport.connect_timeout_ms = std::max<std::int64_t>(
-      0, cfg.get_int("capes.transport.tcp.connect_timeout_ms",
-                     o.transport.connect_timeout_ms));
-  o.transport.io_threads = std::clamp<std::int64_t>(
-      cfg.get_int("capes.transport.tcp.io_threads", o.transport.io_threads), 1,
-      64);
-
-  // Deterministic fault injection. Rates clamp into [0, 0.999] and
-  // windows to >= 1 like the other numeric overlays (the --faults= spec
-  // path rejects instead); slow_factor clamps to >= 1 so a typo can
-  // never make a straggler faster than healthy.
-  auto& f = o.faults;
-  f.ost_crash = std::clamp(
-      cfg.get_double("capes.sim.faults.ost_crash", f.ost_crash), 0.0, 0.999);
-  f.restart_ticks = std::max<std::int64_t>(
-      1, cfg.get_int("capes.sim.faults.restart_ticks", f.restart_ticks));
-  f.straggler = std::clamp(
-      cfg.get_double("capes.sim.faults.straggler", f.straggler), 0.0, 0.999);
-  f.slow_factor = std::max(
-      1.0, cfg.get_double("capes.sim.faults.slow_factor", f.slow_factor));
-  f.straggler_ticks = std::max<std::int64_t>(
-      1, cfg.get_int("capes.sim.faults.straggler_ticks", f.straggler_ticks));
-  f.partition = std::clamp(
-      cfg.get_double("capes.sim.faults.partition", f.partition), 0.0, 0.999);
-  f.partition_ticks = std::max<std::int64_t>(
-      1, cfg.get_int("capes.sim.faults.partition_ticks", f.partition_ticks));
-  if (cfg.has("capes.sim.faults.seed")) {
-    f.seed = static_cast<std::uint64_t>(cfg.get_int(
-        "capes.sim.faults.seed", static_cast<std::int64_t>(f.seed)));
-    f.seed_explicit = true;
-  }
-
-  auto& e = o.engine;
-  // Learner mode reads like the transport scheme: config files are
-  // overlays, so an unknown value keeps the base rather than failing
-  // here — the CLI/builder path validates strictly instead.
-  const std::string learner_mode = cfg.get(
-      "capes.learner.mode",
-      e.learner_mode == LearnerMode::kAsync ? "async" : "sync");
-  e.learner_mode =
-      learner_mode == "async" ? LearnerMode::kAsync : LearnerMode::kSync;
-  e.checkpoint_ticks = static_cast<std::size_t>(std::max<std::int64_t>(
-      0, cfg.get_int("capes.learner.checkpoint_ticks",
-                     static_cast<std::int64_t>(e.checkpoint_ticks))));
-  e.minibatch_size = static_cast<std::size_t>(
-      cfg.get_int("drl.minibatch_size", static_cast<std::int64_t>(e.minibatch_size)));
-  e.train_steps_per_tick = static_cast<std::size_t>(cfg.get_int(
-      "drl.train_steps_per_tick", static_cast<std::int64_t>(e.train_steps_per_tick)));
-  e.eval_epsilon = cfg.get_double("drl.eval_epsilon", e.eval_epsilon);
-  e.dqn.gamma = static_cast<float>(cfg.get_double("drl.gamma", e.dqn.gamma));
-  e.dqn.learning_rate =
-      static_cast<float>(cfg.get_double("drl.learning_rate", e.dqn.learning_rate));
-  e.dqn.target_update_alpha = static_cast<float>(
-      cfg.get_double("drl.target_update_alpha", e.dqn.target_update_alpha));
-  e.dqn.num_hidden_layers = static_cast<std::size_t>(cfg.get_int(
-      "drl.num_hidden_layers", static_cast<std::int64_t>(e.dqn.num_hidden_layers)));
-  e.dqn.hidden_size = static_cast<std::size_t>(
-      cfg.get_int("drl.hidden_size", static_cast<std::int64_t>(e.dqn.hidden_size)));
-  e.dqn.use_target_network =
-      cfg.get_bool("drl.use_target_network", e.dqn.use_target_network);
-  e.epsilon.initial = cfg.get_double("drl.epsilon_initial", e.epsilon.initial);
-  e.epsilon.final_value = cfg.get_double("drl.epsilon_final", e.epsilon.final_value);
-  e.epsilon.anneal_ticks =
-      cfg.get_int("drl.epsilon_anneal_ticks", e.epsilon.anneal_ticks);
-  e.epsilon.bump_value = cfg.get_double("drl.epsilon_bump", e.epsilon.bump_value);
-
-  auto& r = o.replay;
-  r.ticks_per_observation = static_cast<std::size_t>(cfg.get_int(
-      "replay.ticks_per_observation",
-      static_cast<std::int64_t>(r.ticks_per_observation)));
-  r.missing_tolerance =
-      cfg.get_double("replay.missing_tolerance", r.missing_tolerance);
-  r.max_ticks_retained = static_cast<std::size_t>(cfg.get_int(
-      "replay.max_ticks_retained", static_cast<std::int64_t>(r.max_ticks_retained)));
   return o;
 }
 
 lustre::ClusterOptions cluster_options_from_config(const util::Config& cfg,
                                                    lustre::ClusterOptions base) {
-  lustre::ClusterOptions o = base;
-  o.num_clients = static_cast<std::size_t>(
-      cfg.get_int("lustre.num_clients", static_cast<std::int64_t>(o.num_clients)));
-  o.num_servers = static_cast<std::size_t>(
-      cfg.get_int("lustre.num_servers", static_cast<std::int64_t>(o.num_servers)));
-  o.default_cwnd = cfg.get_double("lustre.default_cwnd", o.default_cwnd);
-  o.cwnd_min = cfg.get_double("lustre.cwnd_min", o.cwnd_min);
-  o.cwnd_max = cfg.get_double("lustre.cwnd_max", o.cwnd_max);
-  o.cwnd_step = cfg.get_double("lustre.cwnd_step", o.cwnd_step);
-  o.default_rate_limit =
-      cfg.get_double("lustre.default_rate_limit", o.default_rate_limit);
-  o.rate_limit_min = cfg.get_double("lustre.rate_limit_min", o.rate_limit_min);
-  o.rate_limit_max = cfg.get_double("lustre.rate_limit_max", o.rate_limit_max);
-  o.rate_limit_step = cfg.get_double("lustre.rate_limit_step", o.rate_limit_step);
-  o.max_dirty_bytes = static_cast<std::uint64_t>(cfg.get_int(
-      "lustre.max_dirty_bytes", static_cast<std::int64_t>(o.max_dirty_bytes)));
-  o.rpc_timeout = cfg.get_int("lustre.rpc_timeout_us", o.rpc_timeout);
-  o.fragmentation = cfg.get_double("lustre.fragmentation", o.fragmentation);
-  o.disk_fullness = cfg.get_double("lustre.disk_fullness", o.disk_fullness);
-  o.seed = static_cast<std::uint64_t>(
-      cfg.get_int("lustre.seed", static_cast<std::int64_t>(o.seed)));
-
-  o.disk.seq_read_mbs = cfg.get_double("disk.seq_read_mbs", o.disk.seq_read_mbs);
-  o.disk.seq_write_mbs = cfg.get_double("disk.seq_write_mbs", o.disk.seq_write_mbs);
-  o.disk.read_positioning_us =
-      cfg.get_int("disk.read_positioning_us", o.disk.read_positioning_us);
-  o.disk.write_positioning_us =
-      cfg.get_int("disk.write_positioning_us", o.disk.write_positioning_us);
-  o.disk.write_queue_gain =
-      cfg.get_double("disk.write_queue_gain", o.disk.write_queue_gain);
-  o.disk.write_queue_scale =
-      cfg.get_double("disk.write_queue_scale", o.disk.write_queue_scale);
-  o.disk.read_queue_gain =
-      cfg.get_double("disk.read_queue_gain", o.disk.read_queue_gain);
-  o.disk.read_queue_scale =
-      cfg.get_double("disk.read_queue_scale", o.disk.read_queue_scale);
-  o.disk.service_noise = cfg.get_double("disk.service_noise", o.disk.service_noise);
-
-  o.network.link_bandwidth_mbs =
-      cfg.get_double("network.link_bandwidth_mbs", o.network.link_bandwidth_mbs);
-  o.network.fabric_bandwidth_mbs = cfg.get_double("network.fabric_bandwidth_mbs",
-                                                  o.network.fabric_bandwidth_mbs);
-  o.network.base_latency =
-      cfg.get_int("network.base_latency_us", o.network.base_latency);
-  o.network.jitter_fraction =
-      cfg.get_double("network.jitter_fraction", o.network.jitter_fraction);
-  return o;
+  util::read_options(kClusterOptions, cfg, "", &base);
+  return base;
 }
 
 util::Config config_from_options(const CapesOptions& capes,
                                  const lustre::ClusterOptions& cluster) {
   util::Config cfg;
-  cfg.set_double("capes.sampling_tick_s", capes.sampling_tick_s);
-  cfg.set_double("capes.reward_scale_mbs", capes.reward_scale_mbs);
-  cfg.set("capes.replay_db_dir", capes.replay_db_dir);
-  cfg.set("capes.capture.path", capes.capture_path);
-  cfg.set_int("capes.capture.ring",
-              static_cast<std::int64_t>(capes.capture_ring));
-  cfg.set_int("capes.worker_threads",
-              static_cast<std::int64_t>(capes.worker_threads));
-  if (capes.sim_shards == 0) {
-    cfg.set("capes.sim.shards", "auto");
-  } else {
-    cfg.set_int("capes.sim.shards",
-                static_cast<std::int64_t>(capes.sim_shards));
-  }
-  cfg.set("capes.sim.shard_plan", sim::shard_plan_name(capes.shard_plan));
-  cfg.set("capes.transport",
-          capes.transport.kind == bus::TransportKind::kSim   ? "sim"
-          : capes.transport.kind == bus::TransportKind::kTcp ? "tcp"
-                                                             : "sync");
-  cfg.set_int("capes.transport.latency_ticks", capes.transport.latency_ticks);
-  cfg.set_double("capes.transport.jitter", capes.transport.jitter);
-  cfg.set_double("capes.transport.drop", capes.transport.drop);
-  if (capes.transport.seed_explicit) {
-    cfg.set_int("capes.transport.seed",
-                static_cast<std::int64_t>(capes.transport.seed));
-  }
+  util::write_options(kCapesOptions, capes, "", &cfg);
+  if (capes.sim_shards == 0) cfg.set(std::string(kSimShardsKey), "auto");
+  util::write_options(bus::kSimTransportOptions, capes.transport,
+                      kTransportPrefix, &cfg);
   if (capes.transport.kind == bus::TransportKind::kTcp) {
-    cfg.set("capes.transport.tcp.host", capes.transport.tcp_host);
-    cfg.set_int("capes.transport.tcp.port", capes.transport.tcp_port);
-    cfg.set_int("capes.transport.tcp.connect_timeout_ms",
-                capes.transport.connect_timeout_ms);
-    cfg.set_int("capes.transport.tcp.io_threads", capes.transport.io_threads);
+    util::write_options(bus::kTcpTransportOptions, capes.transport, kTcpPrefix,
+                        &cfg);
   }
-  // Emitted only when a fault plan is active, so faultless configs stay
-  // byte-identical to pre-fault builds.
-  if (capes.faults.enabled()) {
-    cfg.set_double("capes.sim.faults.ost_crash", capes.faults.ost_crash);
-    cfg.set_int("capes.sim.faults.restart_ticks", capes.faults.restart_ticks);
-    cfg.set_double("capes.sim.faults.straggler", capes.faults.straggler);
-    cfg.set_double("capes.sim.faults.slow_factor", capes.faults.slow_factor);
-    cfg.set_int("capes.sim.faults.straggler_ticks",
-                capes.faults.straggler_ticks);
-    cfg.set_double("capes.sim.faults.partition", capes.faults.partition);
-    cfg.set_int("capes.sim.faults.partition_ticks",
-                capes.faults.partition_ticks);
+  // Faultless configs carry no fault keys, so their dumps stay
+  // byte-identical to builds without fault injection.
+  if (capes.faults.enabled() || capes.faults.seed_explicit) {
+    util::write_options(sim::kFaultOptions, capes.faults, kFaultPrefix, &cfg);
   }
-  if (capes.faults.seed_explicit) {
-    cfg.set_int("capes.sim.faults.seed",
-                static_cast<std::int64_t>(capes.faults.seed));
-  }
-  cfg.set("capes.learner.mode",
-          capes.engine.learner_mode == LearnerMode::kAsync ? "async" : "sync");
-  cfg.set_int("capes.learner.checkpoint_ticks",
-              static_cast<std::int64_t>(capes.engine.checkpoint_ticks));
-  cfg.set_int("drl.minibatch_size",
-              static_cast<std::int64_t>(capes.engine.minibatch_size));
-  cfg.set_int("drl.train_steps_per_tick",
-              static_cast<std::int64_t>(capes.engine.train_steps_per_tick));
-  cfg.set_double("drl.eval_epsilon", capes.engine.eval_epsilon);
-  cfg.set_double("drl.gamma", capes.engine.dqn.gamma);
-  cfg.set_double("drl.learning_rate", capes.engine.dqn.learning_rate);
-  cfg.set_double("drl.target_update_alpha", capes.engine.dqn.target_update_alpha);
-  cfg.set_int("drl.num_hidden_layers",
-              static_cast<std::int64_t>(capes.engine.dqn.num_hidden_layers));
-  cfg.set_int("drl.hidden_size",
-              static_cast<std::int64_t>(capes.engine.dqn.hidden_size));
-  cfg.set_bool("drl.use_target_network", capes.engine.dqn.use_target_network);
-  cfg.set_double("drl.epsilon_initial", capes.engine.epsilon.initial);
-  cfg.set_double("drl.epsilon_final", capes.engine.epsilon.final_value);
-  cfg.set_int("drl.epsilon_anneal_ticks", capes.engine.epsilon.anneal_ticks);
-  cfg.set_int("replay.ticks_per_observation",
-              static_cast<std::int64_t>(capes.replay.ticks_per_observation));
-  cfg.set_double("replay.missing_tolerance", capes.replay.missing_tolerance);
-
-  cfg.set_int("lustre.num_clients", static_cast<std::int64_t>(cluster.num_clients));
-  cfg.set_int("lustre.num_servers", static_cast<std::int64_t>(cluster.num_servers));
-  cfg.set_double("lustre.default_cwnd", cluster.default_cwnd);
-  cfg.set_double("lustre.cwnd_max", cluster.cwnd_max);
-  cfg.set_double("lustre.default_rate_limit", cluster.default_rate_limit);
-  cfg.set_double("disk.seq_read_mbs", cluster.disk.seq_read_mbs);
-  cfg.set_double("disk.seq_write_mbs", cluster.disk.seq_write_mbs);
-  cfg.set_double("network.fabric_bandwidth_mbs",
-                 cluster.network.fabric_bandwidth_mbs);
+  util::write_options(kClusterOptions, cluster, "", &cfg);
   return cfg;
 }
 

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -37,6 +38,9 @@ namespace capes::core {
 /// Where train_step runs: inline on the control thread, or on the
 /// dedicated learner thread.
 enum class LearnerMode { kSync, kAsync };
+
+/// Learner specs (and capes.learner.mode conf values), indexed by mode.
+inline constexpr std::string_view kLearnerModeNames[] = {"sync", "async"};
 
 struct DrlEngineOptions {
   rl::DqnOptions dqn;

@@ -1,9 +1,6 @@
 #include "sim/fault.hpp"
 
 #include <algorithm>
-#include <cstdio>
-
-#include "util/parse.hpp"
 
 namespace capes::sim {
 
@@ -92,101 +89,22 @@ bool domain_partitioned(const FaultPlan& plan, std::uint32_t domain,
   });
 }
 
-namespace {
-
-bool spec_fail(std::string* error, std::string message) {
-  if (error) *error = std::move(message);
-  return false;
-}
-
-}  // namespace
-
 bool parse_fault_spec(std::string_view spec, FaultPlan* out,
                       std::string* error) {
-  FaultPlan parsed;
-  std::string_view scheme = spec;
-  std::string_view opts_part;
   const std::size_t colon = spec.find(':');
-  if (colon != std::string_view::npos) {
-    scheme = spec.substr(0, colon);
-    opts_part = spec.substr(colon + 1);
-  }
-
+  const std::string_view scheme = spec.substr(0, colon);
+  FaultPlan parsed;
   if (scheme == "off") {
     if (colon != std::string_view::npos) {
-      return spec_fail(error, "fault spec 'off' takes no options");
+      return util::reject(error, "fault spec 'off' takes no options");
     }
-    *out = parsed;
-    return true;
-  }
-  if (scheme != "faults") {
-    return spec_fail(error, "unknown fault spec '" + std::string(scheme) +
-                                "' (expected off or faults)");
-  }
-
-  auto parse_rate = [&](std::string_view key, std::string_view value,
-                        double* slot) {
-    if (!util::parse_double(value, slot) || *slot < 0.0 || *slot >= 1.0) {
-      return spec_fail(error, std::string(key) +
-                                  " must be a probability in [0, 1), got '" +
-                                  std::string(value) + "'");
-    }
-    return true;
-  };
-  auto parse_window = [&](std::string_view key, std::string_view value,
-                          std::int64_t* slot) {
-    if (!util::parse_i64(value, slot) || *slot < 1) {
-      return spec_fail(error, std::string(key) +
-                                  " must be an integer >= 1, got '" +
-                                  std::string(value) + "'");
-    }
-    return true;
-  };
-
-  while (!opts_part.empty()) {
-    const std::size_t comma = opts_part.find(',');
-    std::string_view item = opts_part.substr(0, comma);
-    opts_part = comma == std::string_view::npos
-                    ? std::string_view{}
-                    : opts_part.substr(comma + 1);
-    const std::size_t eq = item.find('=');
-    if (eq == std::string_view::npos || eq == 0) {
-      return spec_fail(error, "malformed fault option '" + std::string(item) +
-                                  "' (expected key=value)");
-    }
-    const std::string_view key = item.substr(0, eq);
-    const std::string_view value = item.substr(eq + 1);
-    if (key == "ost_crash") {
-      if (!parse_rate(key, value, &parsed.ost_crash)) return false;
-    } else if (key == "restart_ticks") {
-      if (!parse_window(key, value, &parsed.restart_ticks)) return false;
-    } else if (key == "straggler") {
-      if (!parse_rate(key, value, &parsed.straggler)) return false;
-    } else if (key == "slow_factor") {
-      if (!util::parse_double(value, &parsed.slow_factor) ||
-          parsed.slow_factor < 1.0) {
-        return spec_fail(error, "slow_factor must be a number >= 1, got '" +
-                                    std::string(value) + "'");
-      }
-    } else if (key == "straggler_ticks") {
-      if (!parse_window(key, value, &parsed.straggler_ticks)) return false;
-    } else if (key == "partition") {
-      if (!parse_rate(key, value, &parsed.partition)) return false;
-    } else if (key == "partition_ticks") {
-      if (!parse_window(key, value, &parsed.partition_ticks)) return false;
-    } else if (key == "seed") {
-      if (!util::parse_u64(value, &parsed.seed)) {
-        return spec_fail(error, "seed must be an unsigned integer, got '" +
-                                    std::string(value) + "'");
-      }
-      parsed.seed_explicit = true;
-    } else {
-      return spec_fail(error, "unknown fault kind or option '" +
-                                  std::string(key) +
-                                  "' (expected ost_crash, restart_ticks, "
-                                  "straggler, slow_factor, straggler_ticks, "
-                                  "partition, partition_ticks, or seed)");
-    }
+  } else if (scheme != "faults") {
+    return util::reject(error, "unknown fault spec '" + std::string(scheme) +
+                                   "' (expected off or faults)");
+  } else if (colon != std::string_view::npos &&
+             !util::parse_options(kFaultOptions, spec.substr(colon + 1),
+                                  "fault kind or option", &parsed, error)) {
+    return false;
   }
   *out = parsed;
   return true;
@@ -194,20 +112,7 @@ bool parse_fault_spec(std::string_view spec, FaultPlan* out,
 
 std::string fault_spec_string(const FaultPlan& plan) {
   if (!plan.enabled() && !plan.seed_explicit) return "off";
-  // %.17g is the shortest printf precision that reproduces any double
-  // exactly, keeping the documented round-trip value-lossless.
-  char buffer[224];
-  std::snprintf(buffer, sizeof(buffer),
-                "faults:ost_crash=%.17g,restart_ticks=%lld,straggler=%.17g,"
-                "slow_factor=%.17g,straggler_ticks=%lld,partition=%.17g,"
-                "partition_ticks=%lld",
-                plan.ost_crash, static_cast<long long>(plan.restart_ticks),
-                plan.straggler, plan.slow_factor,
-                static_cast<long long>(plan.straggler_ticks), plan.partition,
-                static_cast<long long>(plan.partition_ticks));
-  std::string spec = buffer;
-  if (plan.seed_explicit) spec += ",seed=" + std::to_string(plan.seed);
-  return spec;
+  return "faults:" + util::format_options(kFaultOptions, plan);
 }
 
 FaultInjector::FaultInjector(Simulator& sim, const FaultPlan& plan,

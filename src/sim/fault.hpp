@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "sim/simulator.hpp"
+#include "util/options.hpp"
 
 namespace capes::sim {
 
@@ -61,6 +62,20 @@ struct FaultPlan {
   bool enabled() const {
     return ost_crash > 0.0 || straggler > 0.0 || partition > 0.0;
   }
+};
+
+/// The faults: spec options; conf keys are capes.sim.faults.<key>. Rates
+/// clamp into [0, 0.999] on the conf path; slow_factor >= 1 so a typo can
+/// never make a straggler faster than healthy.
+inline constexpr util::Option<FaultPlan> kFaultOptions[] = {
+    {"ost_crash", CAPES_FIELD(ost_crash), util::probability()},
+    {"restart_ticks", CAPES_FIELD(restart_ticks), util::at_least(1)},
+    {"straggler", CAPES_FIELD(straggler), util::probability()},
+    {"slow_factor", CAPES_FIELD(slow_factor), util::at_least(1)},
+    {"straggler_ticks", CAPES_FIELD(straggler_ticks), util::at_least(1)},
+    {"partition", CAPES_FIELD(partition), util::probability()},
+    {"partition_ticks", CAPES_FIELD(partition_ticks), util::at_least(1)},
+    {"seed", CAPES_FIELD(seed), {}, {}, CAPES_FIELD(seed_explicit)},
 };
 
 /// Fault record kinds. Values are the capture wire encoding of the
@@ -107,9 +122,8 @@ bool domain_partitioned(const FaultPlan& plan, std::uint32_t domain,
 
 /// Parse "off" / "faults[:k=v,...]" into *out. Returns false (with a
 /// human-readable *error echoing the offending key or token, if non-null)
-/// on an unknown scheme, an unknown option key, a malformed value, or an
-/// out-of-range value (rates outside [0, 1), window tick counts < 1,
-/// slow_factor < 1).
+/// on an unknown scheme, an unknown option key, or a malformed or
+/// out-of-range value (the rows above).
 bool parse_fault_spec(std::string_view spec, FaultPlan* out,
                       std::string* error = nullptr);
 

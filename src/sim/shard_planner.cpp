@@ -3,26 +3,23 @@
 #include <algorithm>
 #include <numeric>
 
+#include "util/options.hpp"
+
 namespace capes::sim {
 
 const char* shard_plan_name(ShardPlanKind kind) {
-  return kind == ShardPlanKind::kRate ? "rate" : "static";
+  return kShardPlanNames[static_cast<std::size_t>(kind)].data();
 }
 
 bool parse_shard_plan_spec(const std::string& spec, ShardPlanKind* out,
                            std::string* error) {
-  if (spec == "static") {
-    *out = ShardPlanKind::kStatic;
-    return true;
+  const auto kind = util::find_name(kShardPlanNames, spec);
+  if (!kind) {
+    return util::reject(error, "unknown shard plan '" + spec + "' (expected " +
+                                   util::join_names(kShardPlanNames) + ")");
   }
-  if (spec == "rate") {
-    *out = ShardPlanKind::kRate;
-    return true;
-  }
-  if (error != nullptr) {
-    *error = "unknown shard plan '" + spec + "' (expected static or rate)";
-  }
-  return false;
+  *out = static_cast<ShardPlanKind>(*kind);
+  return true;
 }
 
 double ShardPlan::max_over_mean() const {

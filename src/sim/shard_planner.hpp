@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace capes::sim {
@@ -29,6 +30,9 @@ enum class ShardPlanKind {
   kStatic,  ///< round-robin d % num_shards, fixed for the run
   kRate,    ///< LPT bin-packing by last-phase event counts, per phase
 };
+
+/// Plan specs (and capes.sim.shard_plan conf values), indexed by kind.
+inline constexpr std::string_view kShardPlanNames[] = {"static", "rate"};
 
 /// Canonical spec string for a plan kind ("static" / "rate").
 const char* shard_plan_name(ShardPlanKind kind);

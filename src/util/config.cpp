@@ -1,11 +1,12 @@
 #include "util/config.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+
+#include "util/parse.hpp"
 
 namespace capes::util {
 
@@ -99,13 +100,9 @@ double Config::get_double(const std::string& key, double fallback) const {
 
 bool Config::get_bool(const std::string& key, bool fallback) const {
   auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  std::string v = it->second;
-  std::transform(v.begin(), v.end(), v.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  return fallback;
+  bool v = fallback;
+  if (it != values_.end()) parse_bool(it->second, &v);
+  return v;
 }
 
 std::vector<std::string> Config::keys() const {

@@ -67,6 +67,17 @@ bool parse_double(std::string_view text, double* out) {
   return true;
 }
 
+bool parse_bool(std::string_view text, bool* out) {
+  std::string v(text);
+  for (char& c : v) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  const bool yes = v == "true" || v == "1" || v == "yes" || v == "on";
+  if (!yes && v != "false" && v != "0" && v != "no" && v != "off") return false;
+  *out = yes;
+  return true;
+}
+
 bool parse_flag(const char* arg, const char* name, std::string* out) {
   const std::size_t n = std::strlen(name);
   if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {

@@ -20,6 +20,9 @@ bool parse_u64(std::string_view text, std::uint64_t* out);
 /// Parse a decimal floating-point number (no inf/nan/hex).
 bool parse_double(std::string_view text, double* out);
 
+/// Parse a boolean: true/false, 1/0, yes/no or on/off, in any case.
+bool parse_bool(std::string_view text, bool* out);
+
 /// Split a "--name=value" command-line argument: when `arg` starts with
 /// `name` immediately followed by '=', store the value part in *out and
 /// return true. Shared by the CLI driver and the bench binaries.

@@ -1,7 +1,5 @@
 #include "workload/registry.hpp"
 
-#include <algorithm>
-
 #include "util/parse.hpp"
 #include "workload/file_server.hpp"
 #include "workload/random_rw.hpp"
@@ -63,32 +61,6 @@ bool reject_unknown(const SpecArgs& args, std::size_t max_positional,
 }
 
 }  // namespace spec
-
-bool parse_spec_args(const std::string& args, SpecArgs* out, std::string* error) {
-  std::size_t pos = 0;
-  while (pos <= args.size()) {
-    const std::size_t comma = std::min(args.find(',', pos), args.size());
-    const std::string token = args.substr(pos, comma - pos);
-    if (token.empty()) {
-      if (error) *error = "empty spec argument";
-      return false;
-    }
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      out->positional.push_back(token);
-    } else {
-      const std::string key = token.substr(0, eq);
-      const std::string value = token.substr(eq + 1);
-      if (key.empty() || value.empty()) {
-        if (error) *error = "malformed spec argument '" + token + "'";
-        return false;
-      }
-      out->named[key] = value;
-    }
-    pos = comma + 1;
-  }
-  return true;
-}
 
 Registry& Registry::instance() {
   // The bundled workloads live in this static library; a pure

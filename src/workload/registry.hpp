@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "util/options.hpp"
 #include "workload/workload.hpp"
 
 namespace capes::lustre {
@@ -27,15 +28,10 @@ namespace capes::workload {
 
 class Registry;
 
-/// Pre-split spec arguments handed to a workload factory.
-struct SpecArgs {
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> named;
-};
-
-/// Split the comma-separated argument list of a spec. Returns false (with
-/// *error set) on malformed input such as an empty "key=" value.
-bool parse_spec_args(const std::string& args, SpecArgs* out, std::string* error);
+/// Pre-split spec arguments handed to a workload factory (shared with the
+/// option-table grammars; see util/options.hpp).
+using util::parse_spec_args;
+using util::SpecArgs;
 
 class Registry {
  public:

@@ -235,28 +235,24 @@ TEST(TransportSpec, ParsesTcpWithDefaults) {
   EXPECT_EQ(opts.tcp_host, "10.0.0.7");
   EXPECT_EQ(opts.tcp_port, 4890);
   EXPECT_EQ(opts.connect_timeout_ms, 5000);
-  EXPECT_EQ(opts.io_threads, 1);
 }
 
 TEST(TransportSpec, ParsesFullTcpOptionList) {
   TransportOptions opts;
   std::string error;
   ASSERT_TRUE(parse_transport_spec(
-      "tcp:host=localhost,port=19,connect_timeout_ms=250,io_threads=2", &opts,
-      &error))
+      "tcp:host=localhost,port=19,connect_timeout_ms=250", &opts, &error))
       << error;
   EXPECT_EQ(opts.tcp_host, "localhost");
   EXPECT_EQ(opts.tcp_port, 19);
   EXPECT_EQ(opts.connect_timeout_ms, 250);
-  EXPECT_EQ(opts.io_threads, 2);
 }
 
 TEST(TransportSpec, TcpRoundTripsThroughSpecString) {
   TransportOptions opts;
   std::string error;
   ASSERT_TRUE(parse_transport_spec(
-      "tcp:host=example.org,port=7777,connect_timeout_ms=1,io_threads=8",
-      &opts, &error))
+      "tcp:host=example.org,port=7777,connect_timeout_ms=1", &opts, &error))
       << error;
   TransportOptions reparsed;
   ASSERT_TRUE(
@@ -266,7 +262,6 @@ TEST(TransportSpec, TcpRoundTripsThroughSpecString) {
   EXPECT_EQ(reparsed.tcp_host, opts.tcp_host);
   EXPECT_EQ(reparsed.tcp_port, opts.tcp_port);
   EXPECT_EQ(reparsed.connect_timeout_ms, opts.connect_timeout_ms);
-  EXPECT_EQ(reparsed.io_threads, opts.io_threads);
 }
 
 TEST(TransportSpec, RejectsMalformedTcpSpecs) {
@@ -296,8 +291,10 @@ TEST(TransportSpec, TcpRejectionEchoesTheOffendingToken) {
       "tcp:host=a,port=1,connect_timeout_ms=-3", &opts, &error));
   EXPECT_NE(error.find("'-3'"), std::string::npos) << error;
   EXPECT_FALSE(
-      parse_transport_spec("tcp:host=a,port=1,io_threads=0", &opts, &error));
-  EXPECT_NE(error.find("io_threads"), std::string::npos) << error;
+      parse_transport_spec("tcp:host=a,port=1,io_threads=2", &opts, &error));
+  EXPECT_NE(error.find("unknown tcp transport option 'io_threads'"),
+            std::string::npos)
+      << error;
   EXPECT_FALSE(parse_transport_spec("tcp:host=a,port=1,nagle=off", &opts,
                                     &error));
   EXPECT_NE(error.find("'nagle'"), std::string::npos) << error;

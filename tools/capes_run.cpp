@@ -17,6 +17,7 @@
 #include "core/experiment.hpp"
 #include "sim/fault.hpp"
 #include "sim/shard_planner.hpp"
+#include "util/options.hpp"
 #include "util/parse.hpp"
 #include "workload/registry.hpp"
 
@@ -133,11 +134,11 @@ ParseOutcome parse_args(int argc, char** argv, Args* args) {
       }
       args->transport = value;
     } else if (parse_flag(argv[i], "--learner", &value)) {
-      if (value != "sync" && value != "async") {
+      if (!util::find_name(core::kLearnerModeNames, value)) {
         std::fprintf(stderr,
-                     "invalid value for --learner: '%s' (expected sync or "
-                     "async)\n",
-                     value.c_str());
+                     "invalid value for --learner: '%s' (expected %s)\n",
+                     value.c_str(),
+                     util::join_names(core::kLearnerModeNames).c_str());
         return ParseOutcome::kError;
       }
       args->learner = value;
@@ -240,8 +241,8 @@ void print_usage() {
       "                           partition_ticks=N,seed=N]]\n"
       "                 [--transport=sync|sim[:latency_ticks=N,jitter=X,"
       "drop=P,seed=N]\n"
-      "                              |tcp:host=H,port=N[,connect_timeout_ms=N,"
-      "io_threads=N]]\n"
+      "                              |tcp:host=H,port=N[,connect_timeout_ms=N]]"
+      "\n"
       "                 [--learner=sync|async]\n"
       "                 [--conf=FILE] [--train-ticks=N] [--eval-ticks=N]\n"
       "                 [--csv=PREFIX] [--model=FILE] [--load-model=FILE]\n"

@@ -14,7 +14,7 @@ job; a current artifact with no baseline counterpart is reported as new
 and skipped.
 
 The artifacts are the BENCH_*.json emitted by the bench runners
-(tools/run_*_bench.sh): a top-level "results" list of rows, each row a
+(tools/run_ext_bench.sh NAME): a top-level "results" list of rows, each row a
 flat object mixing key fields (threads, domains, scenario, ...) with
 measured metrics. "ticks_per_sec*" metrics are higher-is-better: a drop
 beyond the threshold (default 20%) is reported. "*imbalance*" metrics
