@@ -3,13 +3,9 @@
 #include <memory>
 #include <vector>
 
-#include "core/action_checker.hpp"
-#include "core/drl_engine.hpp"
-#include "core/interface_daemon.hpp"
+#include "core/brain.hpp"
 #include "core/remote_brain.hpp"
-#include "core/trace_replay.hpp"
 #include "rl/action_space.hpp"
-#include "rl/replay_db.hpp"
 #include "util/frame.hpp"
 #include "util/logging.hpp"
 
@@ -17,28 +13,13 @@ namespace capes::core {
 
 namespace {
 
-/// One control domain's service-side stand-in: the action decoder, the
-/// Action Checker, and the parameter mirror vetoes are checked against.
-/// Both sides apply the same deterministic broadcast logic, so the
-/// mirror tracks the agent-side parameter vector exactly.
-struct DomainMirror {
-  std::unique_ptr<rl::ActionSpace> space;  ///< stable address for checker
-  std::unique_ptr<ActionChecker> checker;
-  std::vector<double> params;
-  std::size_t action_offset = 1;
-};
-
+/// One session: the LocalBrain the Hello describes, its shards checking
+/// against parameter mirrors of the agent-side domains. Both sides apply
+/// the same broadcasts, so each mirror tracks its domain's vector exactly.
 struct Session {
-  capture::TraceMeta meta;
-  std::unique_ptr<rl::ReplayDb> replay;
-  /// The daemon is ingest-only (status routing + replay writes); action
-  /// decoding lives in the mirrors, so an empty space satisfies the
-  /// legacy single-shard constructor — exactly as TraceReplayer does.
-  std::unique_ptr<rl::ActionSpace> ingest_space;
-  std::unique_ptr<InterfaceDaemon> daemon;
-  std::unique_ptr<DrlEngine> engine;
-  std::vector<DomainMirror> mirrors;
-  std::size_t total_train_steps = 0;
+  std::vector<rl::ActionSpace> spaces;
+  std::vector<std::vector<double>> mirrors;
+  std::unique_ptr<LocalBrain> brain;
   std::vector<std::uint8_t> broadcast_scratch;
 };
 
@@ -50,112 +31,67 @@ std::unique_ptr<Session> build_session(const HelloPayload& hello,
     *error = "Hello describes an empty topology";
     return nullptr;
   }
-  std::size_t slice_actions = 0;
-  for (const RemoteDomain& d : hello.domains) {
-    slice_actions += 2 * d.params.size();
+  // The daemon routes by the contiguous layout CapesSystem builds: domain
+  // d's slice starts right after domain d-1's 2·p actions.
+  std::size_t offset = 1;
+  for (std::size_t d = 0; d < hello.domains.size(); ++d) {
+    if (hello.domains[d].action_offset != offset) {
+      *error = "Hello domain " + std::to_string(d) + " slice starts at " +
+               std::to_string(hello.domains[d].action_offset) +
+               ", expected " + std::to_string(offset);
+      return nullptr;
+    }
+    offset += 2 * hello.domains[d].params.size();
   }
-  if (slice_actions + 1 != meta.num_actions) {
+  if (offset != meta.num_actions) {
     *error = "Hello action-space layout disagrees with its meta";
     return nullptr;
   }
 
   auto session = std::make_unique<Session>();
-  session->meta = meta;
-
-  rl::ReplayDbOptions replay_opts;
-  replay_opts.num_nodes = meta.num_nodes;
-  replay_opts.pis_per_node = meta.pis_per_node;
-  replay_opts.ticks_per_observation = meta.ticks_per_observation;
-  replay_opts.missing_tolerance = meta.missing_tolerance;
-  replay_opts.max_ticks_retained = meta.max_ticks_retained;
-  session->replay = std::make_unique<rl::ReplayDb>(replay_opts);
-
-  session->ingest_space =
-      std::make_unique<rl::ActionSpace>(std::vector<rl::TunableParameter>{});
-  session->daemon = std::make_unique<InterfaceDaemon>(
-      *session->replay, *session->ingest_space, meta.num_nodes,
-      meta.pis_per_node);
-
-  DrlEngineOptions engine_opts = engine_options_from_meta(meta);
-  engine_opts.seed = meta.engine_seed;
-  engine_opts.dqn.seed = meta.dqn_seed;
-  session->engine = std::make_unique<DrlEngine>(engine_opts, *session->replay);
-
+  // Reserved up front: the shards point into both vectors.
+  session->spaces.reserve(hello.domains.size());
   session->mirrors.reserve(hello.domains.size());
+  std::vector<DaemonShard> shards;
   for (const RemoteDomain& d : hello.domains) {
-    DomainMirror mirror;
-    mirror.space = std::make_unique<rl::ActionSpace>(d.params);
-    mirror.checker = std::make_unique<ActionChecker>(*mirror.space);
-    mirror.params = mirror.space->initial_values();
-    mirror.action_offset = static_cast<std::size_t>(d.action_offset);
-    session->mirrors.push_back(std::move(mirror));
+    const rl::ActionSpace& space = session->spaces.emplace_back(d.params);
+    shards.push_back({&space, static_cast<std::size_t>(d.action_offset),
+                      &session->mirrors.emplace_back(space.initial_values())});
   }
+  session->brain = std::make_unique<LocalBrain>(brain_options_from_meta(meta),
+                                                std::move(shards));
   return session;
 }
 
-/// The remote mirror of route_suggested_action + apply_checked_action +
-/// the training step, closing one tick barrier.
+/// One tick barrier: the LocalBrain step, the checked broadcast (if any
+/// action applied), and kFrameActionsDone.
 void handle_tick_done(Session& session, net::Endpoint& endpoint,
-                      std::int64_t t, std::uint8_t mode,
+                      std::int64_t t, RunPhase mode,
                       BrainServiceReport& report) {
-  const bool training = mode == kPhaseTraining;
-  std::size_t suggested = 0;
-  if (training || mode == kPhaseTuned) {
-    suggested = session.engine->compute_action(t, training);
-  }
-
-  // Route the composite index to the owning mirror (NULL -> mirror 0, so
-  // checker rules still see it — same as the in-process daemon).
-  std::size_t shard = 0;
-  std::size_t local = 0;
-  if (suggested != 0) {
-    while (shard + 1 < session.mirrors.size() &&
-           suggested >= session.mirrors[shard + 1].action_offset) {
-      ++shard;
+  const TickOutcome outcome = session.brain->end_tick(t, mode);
+  if (outcome.recorded != 0) {
+    const std::size_t shard = session.brain->daemon().shard_of(outcome.recorded);
+    const std::vector<double>& params = session.mirrors[shard];
+    session.broadcast_scratch.resize(params.size() * 8);
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      util::put_le_f64(session.broadcast_scratch.data() + 8 * i, params[i]);
     }
-    local = suggested - session.mirrors[shard].action_offset + 1;
-  }
-  DomainMirror& mirror = session.mirrors[shard];
-  std::size_t recorded = suggested;
-  if (local >= mirror.space->num_actions()) {
-    // A suggestion outside every slice can only come from a client/meta
-    // mismatch that slipped past the Hello check; degrade to NULL.
-    recorded = 0;
+    endpoint.send(frame_type(capture::RecordType::kBroadcast), t,
+                  kActionTopicBase + shard, shard,
+                  session.broadcast_scratch.data(),
+                  session.broadcast_scratch.size());
+    ++report.actions_broadcast;
+  } else if (outcome.suggested != 0) {
     ++report.actions_vetoed;
-  } else {
-    const rl::DecodedAction decoded = mirror.space->decode(local);
-    if (!mirror.checker->check(decoded, mirror.params)) {
-      recorded = 0;  // vetoed -> NULL action
-      ++report.actions_vetoed;
-    } else if (!decoded.null_action) {
-      mirror.space->apply(decoded, mirror.params);
-      session.broadcast_scratch.resize(mirror.params.size() * 8);
-      for (std::size_t i = 0; i < mirror.params.size(); ++i) {
-        util::put_le_f64(session.broadcast_scratch.data() + 8 * i,
-                         mirror.params[i]);
-      }
-      endpoint.send(frame_type(capture::RecordType::kBroadcast), t,
-                    kActionTopicBase + shard, shard,
-                    session.broadcast_scratch.data(),
-                    session.broadcast_scratch.size());
-      ++report.actions_broadcast;
-    }
   }
-  session.replay->record_action(t, recorded);
-
-  std::size_t steps = 0;
-  if (training) {
-    steps = session.engine->train_tick();
-    session.total_train_steps += steps;
-    report.train_steps += steps;
-  }
+  report.train_steps += outcome.train_steps;
 
   std::uint8_t done[20];
-  util::put_le32(done, static_cast<std::uint32_t>(suggested));
-  util::put_le32(done + 4, static_cast<std::uint32_t>(recorded));
-  util::put_le32(done + 8, static_cast<std::uint32_t>(steps));
+  util::put_le32(done, static_cast<std::uint32_t>(outcome.suggested));
+  util::put_le32(done + 4, static_cast<std::uint32_t>(outcome.recorded));
+  util::put_le32(done + 8, static_cast<std::uint32_t>(outcome.train_steps));
   util::put_le64(done + 12,
-                 static_cast<std::uint64_t>(session.total_train_steps));
+                 static_cast<std::uint64_t>(outcome.total_train_steps));
   endpoint.send(kFrameActionsDone, t, 0, 0, done, sizeof(done));
 }
 
@@ -188,23 +124,19 @@ BrainServiceReport BrainService::serve(net::Endpoint& endpoint) {
         report.num_domains = session->mirrors.size();
         std::uint8_t ack[8];
         util::put_le32(ack, kWireProtoVersion);
-        util::put_le32(ack + 4, session->engine->weights_fingerprint());
+        util::put_le32(ack + 4, session->brain->weights_fingerprint());
         endpoint.send(kFrameHelloAck, 0, 0, 0, ack, sizeof(ack));
         break;
       }
       case kFrameTickDone:
         if (session != nullptr && !frame.payload.empty()) {
-          handle_tick_done(*session, endpoint, frame.tick, frame.payload[0],
-                           report);
+          handle_tick_done(*session, endpoint, frame.tick,
+                           static_cast<RunPhase>(frame.payload[0]), report);
           ++report.ticks;
         }
         break;
       case kFrameParamsReset:
-        if (session != nullptr) {
-          for (DomainMirror& mirror : session->mirrors) {
-            mirror.params = mirror.space->initial_values();
-          }
-        }
+        if (session != nullptr) session->brain->reset_params(frame.tick);
         break;
       case kFrameBye:
         report.clean_shutdown = true;
@@ -214,27 +146,29 @@ BrainServiceReport BrainService::serve(net::Endpoint& endpoint) {
         if (frame.type == frame_type(capture::RecordType::kStatus)) {
           if (session != nullptr) {
             ++report.status_records;
-            session->daemon->on_status_message(frame.payload);
+            session->brain->daemon().on_status_message(frame.payload);
           }
         } else if (frame.type == frame_type(capture::RecordType::kReward)) {
           if (session != nullptr && frame.payload.size() >= 8) {
             ++report.reward_records;
-            session->daemon->on_reward(frame.tick,
-                                       util::get_le_f64(frame.payload.data()));
+            session->brain->daemon().on_reward(
+                frame.tick, util::get_le_f64(frame.payload.data()));
           }
         } else if (frame.type ==
                    frame_type(capture::RecordType::kWorkloadChange)) {
-          if (session != nullptr) session->engine->notify_workload_change();
+          if (session != nullptr) session->brain->workload_change(frame.tick);
         } else if (frame.type == frame_type(capture::RecordType::kPhaseEnd)) {
           if (session != nullptr) {
-            // The remote drain_learner(): everything the phase trained is
+            // The learner barrier: everything the phase trained is
             // visible in the fingerprint the ack carries.
-            session->engine->drain_learner();
+            session->brain->end_phase(
+                frame.tick, frame.payload.empty()
+                                ? RunPhase::kIdle
+                                : static_cast<RunPhase>(frame.payload[0]));
             std::uint8_t ack[12];
-            util::put_le32(ack, session->engine->weights_fingerprint());
-            util::put_le64(
-                ack + 4,
-                static_cast<std::uint64_t>(session->total_train_steps));
+            util::put_le32(ack, session->brain->weights_fingerprint());
+            util::put_le64(ack + 4, static_cast<std::uint64_t>(
+                                        session->brain->total_train_steps()));
             endpoint.send(kFramePhaseEndAck, frame.tick, 0, 0, ack,
                           sizeof(ack));
           }
@@ -245,8 +179,8 @@ BrainServiceReport BrainService::serve(net::Endpoint& endpoint) {
     endpoint.recycle(slot);
   }
   if (session != nullptr) {
-    report.fingerprint = session->engine->weights_fingerprint();
-    report.decode_errors = session->daemon->decode_errors();
+    report.fingerprint = session->brain->weights_fingerprint();
+    report.decode_errors = session->brain->daemon().decode_errors();
   }
   if (!report.error.empty()) {
     CAPES_LOG_WARN("braind") << "session aborted: " << report.error;

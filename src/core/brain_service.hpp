@@ -1,19 +1,18 @@
 #pragma once
 // The daemon-side half of the distributed control plane: one BrainService
-// session hosts the Replay DB + Interface Daemon (ingest-only) + DRL
-// Engine for one connected capes_agentd and speaks the remote_brain
-// protocol over a net::Endpoint.
+// session hosts a LocalBrain (Replay DB + Interface Daemon + DRL Engine)
+// for one connected capes_agentd and speaks the remote_brain protocol
+// over a net::Endpoint.
 //
-// The session is built entirely from the client's Hello — the same
-// TraceMeta snapshot a capture file leads with, plus the per-domain
-// action-space layout — exactly the way TraceReplayer rebuilds a run
-// from a capture. Every tick the service ingests the client's status and
-// reward frames in FIFO order, then on kFrameTickDone computes, checks,
-// applies (to its parameter mirrors) and records the action with the
-// same deterministic logic as the in-process path, streaming the checked
-// broadcasts back. A loopback session with zero loss therefore trains
-// the engine to a weights fingerprint bit-identical to the `sync`
-// transport's.
+// The brain is built from the client's Hello — the same TraceMeta
+// snapshot a capture file leads with, plus the per-domain action-space
+// layout — through the same from-meta path TraceReplayer uses, with one
+// shard per domain checking against a parameter mirror. Every tick the
+// service ingests the client's status and reward frames in FIFO order,
+// then on kFrameTickDone runs the LocalBrain tick step the in-process
+// system runs and streams the checked broadcast back. A loopback session
+// with zero loss therefore trains the engine to a weights fingerprint
+// bit-identical to the `sync` transport's.
 //
 // Lifecycle: serve() returns when the client says Bye (clean_shutdown),
 // when the link dies (EOF / error / idle timeout — a killed agent never

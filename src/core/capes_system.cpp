@@ -16,60 +16,21 @@ namespace capes::core {
 
 namespace {
 
-/// Everything a replayer needs to rebuild a bit-identical Replay DB + DRL
-/// Engine, snapshotted at capture start. The fingerprint is taken after
-/// any checkpoint restore, so a replay from fresh weights can detect (and
-/// warn about) a live run that resumed mid-training.
+/// Everything a replayer or capes_daemond needs to rebuild the brain
+/// bit-identically. The fingerprint is the post-restore starting state,
+/// so a replay from fresh weights can detect a resumed live run.
 capture::TraceMeta trace_meta_from(const CapesOptions& opts,
                                    std::size_t num_domains,
-                                   std::size_t num_actions,
                                    std::uint32_t weights_fingerprint) {
-  capture::TraceMeta meta;
+  capture::TraceMeta meta =
+      meta_from_brain_options(BrainOptions{opts.replay, opts.engine});
   meta.num_domains = static_cast<std::uint32_t>(num_domains);
-  meta.num_nodes = static_cast<std::uint32_t>(opts.replay.num_nodes);
-  meta.pis_per_node = static_cast<std::uint32_t>(opts.replay.pis_per_node);
-  meta.num_actions = static_cast<std::uint32_t>(num_actions);
   meta.sampling_tick_s = opts.sampling_tick_s;
-  meta.engine_seed = opts.engine.seed;
-  meta.dqn_seed = opts.engine.dqn.seed;
-  meta.use_double_dqn = opts.engine.dqn.use_double_dqn;
-  meta.use_target_network = opts.engine.dqn.use_target_network;
-  meta.loss_kind = static_cast<std::uint8_t>(opts.engine.dqn.loss);
-  meta.activation = static_cast<std::uint8_t>(opts.engine.dqn.activation);
-  meta.num_hidden_layers =
-      static_cast<std::uint32_t>(opts.engine.dqn.num_hidden_layers);
-  meta.hidden_size = static_cast<std::uint32_t>(opts.engine.dqn.hidden_size);
-  meta.gamma = opts.engine.dqn.gamma;
-  meta.learning_rate = opts.engine.dqn.learning_rate;
-  meta.target_update_alpha = opts.engine.dqn.target_update_alpha;
-  meta.minibatch_size = static_cast<std::uint32_t>(opts.engine.minibatch_size);
-  meta.train_steps_per_tick =
-      static_cast<std::uint32_t>(opts.engine.train_steps_per_tick);
-  meta.eval_epsilon = opts.engine.eval_epsilon;
-  meta.epsilon_initial = opts.engine.epsilon.initial;
-  meta.epsilon_final = opts.engine.epsilon.final_value;
-  meta.epsilon_anneal_ticks = opts.engine.epsilon.anneal_ticks;
-  meta.epsilon_bump_value = opts.engine.epsilon.bump_value;
-  meta.epsilon_bump_ticks = opts.engine.epsilon.bump_ticks;
-  meta.ticks_per_observation =
-      static_cast<std::uint32_t>(opts.replay.ticks_per_observation);
-  meta.missing_tolerance = opts.replay.missing_tolerance;
-  meta.max_ticks_retained = opts.replay.max_ticks_retained;
   meta.initial_weights_fingerprint = weights_fingerprint;
   return meta;
 }
 
 }  // namespace
-
-const char* phase_name(RunPhase phase) {
-  switch (phase) {
-    case RunPhase::kTraining: return "training";
-    case RunPhase::kBaseline: return "baseline";
-    case RunPhase::kTuned: return "tuned";
-    case RunPhase::kIdle: break;
-  }
-  return "idle";
-}
 
 CapesSystem::CapesSystem(sim::Simulator& sim, TargetSystemAdapter& adapter,
                          CapesOptions opts, ObjectiveFunction objective)
@@ -210,47 +171,39 @@ CapesSystem::CapesSystem(sim::Simulator& sim,
         });
   }
 
-  std::vector<ControlDomain*> domain_ptrs;
-  domain_ptrs.reserve(domains_.size());
-  for (auto& domain : domains_) domain_ptrs.push_back(domain.get());
+  if (opts_.worker_threads > 0) {
+    pool_ = std::make_unique<util::ThreadPool>(opts_.worker_threads);
+  }
 
+  // The brain, picked once: in process, a LocalBrain with one shard per
+  // domain; under tcp, a BrainClient whose Hello ships the TraceMeta
+  // snapshot a capture leads with, so capes_daemond rebuilds the brain
+  // bit-identically to the in-process one.
   if (!remote) {
-    if (!opts_.replay_db_dir.empty()) {
-      db_ = std::make_unique<waldb::Database>();
-      if (!db_->open(opts_.replay_db_dir)) db_.reset();
-    }
-    replay_ = std::make_unique<rl::ReplayDb>(opts_.replay, db_.get());
-    daemon_ = std::make_unique<InterfaceDaemon>(*replay_, domain_ptrs, pis,
-                                                transport_.get());
-    engine_ = std::make_unique<DrlEngine>(opts_.engine, *replay_);
-    if (db_) {
-      // Durable learner checkpoints ride the same WAL-framed store as the
-      // replay tables; a restarted tuner resumes mid-training. The replay
-      // cache itself is rebuilt from fresh samples, not reloaded.
-      engine_->set_checkpoint_store(db_.get());
-      engine_->restore_checkpoint(*db_);
-    }
+    std::vector<DaemonShard> shards;
+    for (auto& domain : domains_) shards.push_back(domain_shard(*domain));
+    auto local = std::make_unique<LocalBrain>(
+        BrainOptions{opts_.replay, opts_.engine}, std::move(shards),
+        transport_.get(), pool_.get(), opts_.replay_db_dir);
+    local_ = local.get();
+    brain_ = std::move(local);
   } else {
-    // tcp transport: the brain (Replay DB, Interface Daemon, DRL Engine)
-    // lives in a capes_daemond; this process keeps the cluster, the
-    // Monitoring/Control Agents, and a BrainClient connection. The Hello
-    // ships the same TraceMeta snapshot a capture leads with, so the
-    // daemon rebuilds the brain bit-identically to the in-process one.
     if (!opts_.replay_db_dir.empty()) {
       CAPES_LOG_WARN("capes") << "replay_db_dir is ignored under the tcp "
                                  "transport (the replay DB lives in "
                                  "capes_daemond)";
     }
-    client_ = std::make_unique<BrainClient>(*transport_, transport_opts);
+    auto client = std::make_unique<BrainClient>(*transport_, transport_opts);
     std::string error;
-    if (!client_->connect(trace_meta_from(opts_, domains_.size(),
-                                          space_->num_actions(), 0),
-                          domain_ptrs, &error)) {
+    if (!client->connect(trace_meta_from(opts_, domains_.size(), 0), domains_,
+                         &error)) {
       // Like the other constructor preconditions this fails fast: every
       // run method would dereference a half-connected control plane.
       std::fprintf(stderr, "CapesSystem: %s\n", error.c_str());
       std::exit(1);
     }
+    client_ = client.get();
+    brain_ = std::move(client);
   }
 
   if (!opts_.capture_path.empty()) {
@@ -259,26 +212,19 @@ CapesSystem::CapesSystem(sim::Simulator& sim,
     wopts.ring_capacity = opts_.capture_ring;
     // The meta fingerprint is the engine's post-restore starting state —
     // under tcp that engine is remote, and the HelloAck reported it.
-    const std::uint32_t fingerprint =
-        remote ? client_->weights_fingerprint() : engine_->weights_fingerprint();
     capture_ = std::make_unique<capture::WireLogWriter>(
-        wopts, trace_meta_from(opts_, domains_.size(), space_->num_actions(),
-                               fingerprint)
-                   .encode());
+        wopts,
+        trace_meta_from(opts_, domains_.size(), brain_->weights_fingerprint())
+            .encode());
     if (!capture_->ok()) {
       CAPES_LOG_WARN("capture")
           << "capture disabled: cannot write " << opts_.capture_path;
       capture_.reset();
-    } else if (remote) {
-      client_->set_capture(capture_.get());
     } else {
-      daemon_->set_capture(capture_.get());
+      brain_->set_capture(capture_.get());
     }
   }
 
-  if (opts_.worker_threads > 0) {
-    pool_ = std::make_unique<util::ThreadPool>(opts_.worker_threads);
-  }
   if (opts_.worker_threads > 0 ||
       opts_.engine.learner_mode == LearnerMode::kAsync) {
     // Multiple threads may log (workers, the learner): route lines
@@ -330,24 +276,18 @@ CapesSystem::CapesSystem(sim::Simulator& sim,
     }
   }
 
-  // The PI inbox the Monitoring Agents publish into: the daemon's under
-  // an in-process brain, the BrainClient's (which forwards over tcp)
-  // under a remote one. Control Agents register with whichever side
-  // delivers the checked broadcasts.
-  PiChannel& inbox = remote ? client_->inbox() : *daemon_->inbox();
+  // Monitoring Agents publish into the brain's inbox; Control Agents
+  // belong to their domain, through which either brain delivers the
+  // checked broadcasts.
+  PiChannel& inbox = brain_->inbox();
   for (auto& domain : domains_) {
     for (std::size_t n = 0; n < domain->num_nodes(); ++n) {
       auto agent = std::make_unique<MonitoringAgent>(
           n, domain->global_node(n), domain->adapter(), inbox);
       agents_flat_.push_back(agent.get());
       domain->add_monitoring_agent(std::move(agent));
-      auto control = std::make_unique<ControlAgent>(n, domain->adapter());
-      if (!remote) {
-        daemon_->register_control_agent(domain->index(), control.get());
-      }
-      // Remote: the BrainClient applies broadcasts through the domain's
-      // own agent list, so ownership below is registration enough.
-      domain->add_control_agent(std::move(control));
+      domain->add_control_agent(
+          std::make_unique<ControlAgent>(n, domain->adapter()));
     }
   }
 
@@ -357,31 +297,23 @@ CapesSystem::CapesSystem(sim::Simulator& sim,
   for (MonitoringAgent* agent : agents_flat_) {
     agent_by_node_[agent->node()] = agent;
   }
-  auto recycler = [this](std::uint64_t sender,
-                         std::vector<std::uint8_t>&& payload) {
-    if (sender < agent_by_node_.size() && agent_by_node_[sender] != nullptr) {
-      agent_by_node_[sender]->recycle_payload(std::move(payload));
-    }
-  };
-  if (remote) {
-    client_->set_payload_recycler(std::move(recycler));
-  } else {
-    daemon_->set_payload_recycler(std::move(recycler));
-  }
+  brain_->set_payload_recycler(
+      [this](std::uint64_t sender, std::vector<std::uint8_t>&& payload) {
+        if (sender < agent_by_node_.size() &&
+            agent_by_node_[sender] != nullptr) {
+          agent_by_node_[sender]->recycle_payload(std::move(payload));
+        }
+      });
 }
 
-CapesSystem::~CapesSystem() {
-  // A remote brain gets a polite Bye so capes_daemond reports a clean
-  // session (vs. inferring loss from a dead link).
-  if (client_) client_->bye(tick_);
-  if (db_) db_->checkpoint();
-}
+// The brain's destructor says Bye (remote) or checkpoints its store (local).
+CapesSystem::~CapesSystem() = default;
 
 void CapesSystem::reset_parameters() {
   for (auto& domain : domains_) domain->reset_parameters();
-  // Keep the daemon-side parameter mirrors (what vetoes are checked
-  // against) in step with the reset.
-  if (client_) client_->reset_params(tick_);
+  // Keep the brain's parameter vectors (what vetoes are checked against)
+  // in step with the reset.
+  brain_->reset_params(tick_);
 }
 
 void CapesSystem::notify_workload_change() {
@@ -389,11 +321,7 @@ void CapesSystem::notify_workload_change() {
     capture_->record(capture::RecordType::kWorkloadChange, tick_, 0, 0,
                      nullptr, 0);
   }
-  if (client_) {
-    client_->workload_change(tick_);
-  } else {
-    engine_->notify_workload_change();
-  }
+  brain_->workload_change(tick_);
 }
 
 void CapesSystem::add_tick_listener(
@@ -407,46 +335,41 @@ void CapesSystem::add_train_step_listener(
 }
 
 std::uint64_t CapesSystem::hot_path_allocations() const {
-  return hot_path_allocs_ +
-         (engine_ != nullptr ? engine_->hot_path_allocations() : 0);
+  return hot_path_allocs_ + brain_->hot_path_allocations();
 }
 
-namespace {
-
-[[noreturn]] void abort_remote_accessor(const char* what) {
-  std::fprintf(stderr,
-               "CapesSystem: %s lives in capes_daemond under the tcp "
-               "transport; use training_fingerprint() / total_train_steps() "
-               "or brain_client()\n",
-               what);
-  std::abort();
+LocalBrain& CapesSystem::local_brain(const char* what) {
+  if (local_ == nullptr) {
+    std::fprintf(stderr,
+                 "CapesSystem: %s lives in capes_daemond under the tcp "
+                 "transport; use training_fingerprint() / "
+                 "total_train_steps() or brain_client()\n",
+                 what);
+    std::abort();
+  }
+  return *local_;
 }
 
-}  // namespace
-
-DrlEngine& CapesSystem::engine() {
-  if (engine_ == nullptr) abort_remote_accessor("engine()");
-  return *engine_;
-}
+DrlEngine& CapesSystem::engine() { return local_brain("engine()").engine(); }
 
 rl::ReplayDb& CapesSystem::replay() {
-  if (replay_ == nullptr) abort_remote_accessor("replay()");
-  return *replay_;
+  return local_brain("replay()").replay();
 }
 
 InterfaceDaemon& CapesSystem::interface_daemon() {
-  if (daemon_ == nullptr) abort_remote_accessor("interface_daemon()");
-  return *daemon_;
+  return local_brain("interface_daemon()").daemon();
+}
+
+waldb::Database* CapesSystem::database() {
+  return local_ != nullptr ? local_->database() : nullptr;
 }
 
 std::uint32_t CapesSystem::training_fingerprint() const {
-  return client_ != nullptr ? client_->weights_fingerprint()
-                            : engine_->weights_fingerprint();
+  return brain_->weights_fingerprint();
 }
 
 std::size_t CapesSystem::total_train_steps() const {
-  return client_ != nullptr ? client_->total_train_steps()
-                            : engine_->total_train_steps();
+  return brain_->total_train_steps();
 }
 
 std::vector<double> CapesSystem::parameter_values() const {
@@ -472,20 +395,13 @@ void CapesSystem::sample_all_agents(std::int64_t t) {
     pool_->parallel_for(agents_flat_.size(),
                         [&](std::size_t i) { agents_flat_[i]->sample(t); });
   }
-  // The daemon's sampling-tick drain: write whatever has arrived by now
+  // The brain's sampling-tick drain: take whatever has arrived by now
   // (this tick's messages under sync; under sim whichever earlier sends
   // are due). Stragglers surface on a later tick; drops never do — the
-  // replay DB's missing-entry tolerance absorbs them. With a pool the
-  // daemon decodes per-node message runs in parallel and commits them
-  // serially in delivery order — same replay writes, same counters.
-  // Under a remote brain the drain instead ships each message as a
-  // kStatus frame, in the same deterministic order the daemon would
-  // have ingested them.
-  if (client_) {
-    client_->flush_status(t);
-  } else {
-    daemon_->drain_status(t, pool_.get());
-  }
+  // replay DB's missing-entry tolerance absorbs them. A remote brain
+  // ships each message as a kStatus frame, in the same deterministic
+  // order the daemon ingests them.
+  brain_->flush_status(t);
 }
 
 double RunResult::shard_imbalance() const {
@@ -641,11 +557,7 @@ void CapesSystem::on_sampling_tick(RunResult& result, RunPhase mode) {
   const double reward = reward_sum / num_domains;
   const double latency = latency_sum / num_domains;
   alloc_tally.restart();
-  if (client_) {
-    client_->send_reward(t, reward, throughput_sum, latency);
-  } else {
-    daemon_->on_reward(t, reward);
-  }
+  brain_->send_reward(t, reward, throughput_sum, latency);
   hot_path_allocs_ += alloc_tally.delta();
   if (capture_) {
     const double values[3] = {reward, throughput_sum, latency};
@@ -657,56 +569,21 @@ void CapesSystem::on_sampling_tick(RunResult& result, RunPhase mode) {
 
   // 3. Action tick: the engine suggests one composite action, the daemon
   //    checks it and broadcasts it to the owning domain's slice.
-  //    4. follows: training steps (the DRL Engine trains continuously,
-  //    §3.4). Under a remote brain both steps run in capes_daemond
-  //    behind one tick barrier: end_tick ships kFrameTickDone, blocks
-  //    for the checked broadcasts + kFrameActionsDone, and applies the
-  //    broadcasts to the domains' Control Agents. Outside the
-  //    allocation bracket, like drain_actions: applying parameters runs
-  //    the target system's setters, which may schedule simulator events.
-  if (client_) {
-    const TickOutcome outcome =
-        client_->end_tick(t, static_cast<std::uint8_t>(mode));
-    if (mode == RunPhase::kTraining && outcome.train_steps > 0) {
-      result.train_steps += outcome.train_steps;
-      total_train_steps_ = outcome.total_train_steps;
-      TrainStepEvent event;
-      event.tick = t;
-      event.steps = outcome.train_steps;
-      event.total_steps = total_train_steps_;
-      for (const auto& listener : train_step_listeners_) listener(event);
-    }
-  } else {
-    alloc_tally.restart();
-    if (mode == RunPhase::kTraining || mode == RunPhase::kTuned) {
-      const std::size_t suggested =
-          engine_->compute_action(t, mode == RunPhase::kTraining, pool_.get());
-      daemon_->route_suggested_action(t, suggested);
-    } else {
-      daemon_->route_suggested_action(t, 0);  // NULL action
-    }
-    hot_path_allocs_ += alloc_tally.delta();
-    // Deliver checked-action broadcasts due by this tick (the one just
-    // routed under sync; under sim possibly earlier delayed ones — a
-    // delayed action reaches the target system on the tick it lands).
-    // Outside the allocation bracket: applying parameters runs the target
-    // system's setters, which may schedule simulator events (excluded from
-    // the audit like the rest of event execution).
-    daemon_->drain_actions(t);
-
-    // 4. Training steps (the DRL Engine trains continuously, §3.4).
-    if (mode == RunPhase::kTraining) {
-      const std::size_t steps = engine_->train_tick(pool_.get());
-      result.train_steps += steps;
-      if (steps > 0) {
-        total_train_steps_ += steps;
-        TrainStepEvent event;
-        event.tick = t;
-        event.steps = steps;
-        event.total_steps = total_train_steps_;
-        for (const auto& listener : train_step_listeners_) listener(event);
-      }
-    }
+  // 4. Training steps (the DRL Engine trains continuously, §3.4).
+  //    Under a remote brain both steps run in capes_daemond behind one
+  //    tick barrier. The brain audits its own compute + route span;
+  //    broadcast delivery and training stay outside the audit (applying
+  //    parameters runs the target system's setters, which may schedule
+  //    simulator events).
+  const TickOutcome outcome = brain_->end_tick(t, mode);
+  result.train_steps += outcome.train_steps;
+  if (outcome.train_steps > 0) {
+    total_train_steps_ = outcome.total_train_steps;
+    TrainStepEvent event;
+    event.tick = t;
+    event.steps = outcome.train_steps;
+    event.total_steps = total_train_steps_;
+    for (const auto& listener : train_step_listeners_) listener(event);
   }
 
   if (!tick_listeners_.empty()) {
@@ -737,9 +614,8 @@ RunResult CapesSystem::run_phase(std::int64_t ticks, RunPhase mode) {
     const std::uint8_t phase = static_cast<std::uint8_t>(mode);
     capture_->record(capture::RecordType::kPhaseBegin, tick_, 0, 0, &phase, 1);
   }
-  if (client_) client_->begin_phase(tick_, static_cast<std::uint8_t>(mode));
-  const bus::ChannelStats bus_before =
-      client_ ? client_->stats() : daemon_->bus_stats();
+  brain_->begin_phase(tick_, mode);
+  const bus::ChannelStats bus_before = brain_->stats();
   const sim::FaultCounters faults_before = fault_counters();
   const auto tick_us = sim::seconds(opts_.sampling_tick_s);
   for (std::int64_t i = 0; i < ticks; ++i) {
@@ -756,22 +632,17 @@ RunResult CapesSystem::run_phase(std::int64_t ticks, RunPhase mode) {
     if (num_shards > 1) accumulate_shard_stats(result);
     on_sampling_tick(result, mode);
   }
-  // Async learner barrier: phase results and anything read after this
+  // Learner barrier: phase results and anything read after this
   // (fingerprints, logs, train-step counts) reflect all of the phase's
   // training. Remotely that barrier is the kPhaseEnd round trip, whose
   // ack refreshes the cached fingerprint/step count.
-  if (client_) {
-    client_->end_phase(tick_, static_cast<std::uint8_t>(mode));
-  } else {
-    engine_->drain_learner();
-  }
+  brain_->end_phase(tick_, mode);
   result.end_tick = tick_;
   if (capture_) {
     const std::uint8_t phase = static_cast<std::uint8_t>(mode);
     capture_->record(capture::RecordType::kPhaseEnd, tick_, 0, 0, &phase, 1);
   }
-  const bus::ChannelStats bus_after =
-      client_ ? client_->stats() : daemon_->bus_stats();
+  const bus::ChannelStats bus_after = brain_->stats();
   result.messages_dropped = bus_after.dropped - bus_before.dropped;
   result.messages_late = bus_after.late - bus_before.late;
   const sim::FaultCounters faults_after = fault_counters();
@@ -808,21 +679,11 @@ std::uint64_t CapesSystem::monitoring_bytes_sent() const {
 }
 
 bool CapesSystem::save_model(const std::string& path) const {
-  if (engine_ == nullptr) {
-    CAPES_LOG_WARN("capes") << "save_model unavailable under the tcp "
-                               "transport (the model lives in capes_daemond)";
-    return false;
-  }
-  return engine_->dqn().save_checkpoint(path);
+  return brain_->save_model(path);
 }
 
 bool CapesSystem::load_model(const std::string& path) {
-  if (engine_ == nullptr) {
-    CAPES_LOG_WARN("capes") << "load_model unavailable under the tcp "
-                               "transport (the model lives in capes_daemond)";
-    return false;
-  }
-  return engine_->dqn().load_checkpoint(path);
+  return brain_->load_model(path);
 }
 
 }  // namespace capes::core

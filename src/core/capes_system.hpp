@@ -27,18 +27,15 @@
 #include "bus/transport.hpp"
 #include "capture/wire_log_writer.hpp"
 #include "core/adapter.hpp"
+#include "core/brain.hpp"
 #include "core/control_domain.hpp"
-#include "core/drl_engine.hpp"
-#include "core/interface_daemon.hpp"
 #include "core/monitoring_agent.hpp"
 #include "core/objective.hpp"
 #include "rl/action_space.hpp"
-#include "rl/replay_db.hpp"
 #include "sim/fault.hpp"
 #include "sim/shard_planner.hpp"
 #include "sim/simulator.hpp"
 #include "stats/measurement.hpp"
-#include "waldb/database.hpp"
 
 namespace capes::util {
 class ThreadPool;
@@ -108,12 +105,6 @@ struct CapesOptions {
   /// Capture-ring slots between the control thread and the file sink.
   std::size_t capture_ring = 8192;
 };
-
-/// The §A.4 run phases. kIdle only ever appears as "no phase running".
-enum class RunPhase { kIdle, kTraining, kBaseline, kTuned };
-
-/// Lower-case phase label ("training", "baseline", "tuned", "idle").
-const char* phase_name(RunPhase phase);
 
 /// Result of one run phase (training, baseline, or tuned measurement).
 /// Throughput aggregates (sums) across domains; latency and reward are
@@ -218,8 +209,8 @@ class CapesSystem {
   /// Reset every domain's tuned parameters to their initial values.
   void reset_parameters();
 
-  /// In-process components. Under the `tcp:` transport these live in the
-  /// remote capes_daemond, and calling the accessors aborts with a
+  /// The LocalBrain's components. Under the `tcp:` transport these live
+  /// in the remote capes_daemond, and calling the accessors aborts with a
   /// message — use the remote-safe training_fingerprint() /
   /// total_train_steps() (or brain_client()) instead.
   DrlEngine& engine();
@@ -227,11 +218,11 @@ class CapesSystem {
   InterfaceDaemon& interface_daemon();
 
   /// True when the transport is `tcp:`: the Monitoring/Control Agents and
-  /// the simulated cluster run here while the Replay DB + DRL Engine live
-  /// in a capes_daemond this system holds a connection to.
+  /// the simulated cluster run here while the brain lives in a
+  /// capes_daemond this system holds a connection to.
   bool remote_brain() const { return client_ != nullptr; }
   /// The connection to that daemon (null in-process).
-  BrainClient* brain_client() { return client_.get(); }
+  BrainClient* brain_client() { return client_; }
 
   /// CRC32 of the online-network weights after all in-flight training,
   /// and cumulative minibatch steps — engine-backed in process, cached
@@ -279,12 +270,6 @@ class CapesSystem {
   /// Lifetime fault counters summed across every domain's injector.
   sim::FaultCounters fault_counters() const;
 
-  /// Domain 0's Monitoring Agents (single-cluster accessor, kept for
-  /// call sites predating control domains).
-  const std::vector<std::unique_ptr<MonitoringAgent>>& monitoring_agents() const {
-    return domains_[0]->monitoring_agents();
-  }
-
   /// Total bytes sent by all Monitoring Agents of all domains (Table 2).
   std::uint64_t monitoring_bytes_sent() const;
 
@@ -293,7 +278,7 @@ class CapesSystem {
   bool load_model(const std::string& path);
 
   /// The durable replay database, when configured (else nullptr).
-  waldb::Database* database() { return db_.get(); }
+  waldb::Database* database();
 
   /// The flight recorder, when capture_path was set (else nullptr).
   /// Callers may close() it early (idempotent, control thread only) to
@@ -327,6 +312,8 @@ class CapesSystem {
   void replan_shards();
   /// Fold the simulator's last-advance per-shard stats into `result`.
   void accumulate_shard_stats(RunResult& result);
+  /// The in-process brain; aborts naming `what` under the tcp transport.
+  LocalBrain& local_brain(const char* what);
 
   sim::Simulator& sim_;
   CapesOptions opts_;
@@ -335,19 +322,15 @@ class CapesSystem {
   std::vector<std::unique_ptr<ControlDomain>> domains_;
   std::size_t total_nodes_ = 0;
   std::unique_ptr<rl::ActionSpace> space_;  ///< composite
-  std::unique_ptr<waldb::Database> db_;
-  std::unique_ptr<rl::ReplayDb> replay_;
-  /// Declared before the daemon: the daemon's channels reference it.
   std::unique_ptr<bus::Transport> transport_;
-  /// Declared before the daemon: the daemon holds a raw capture pointer.
   std::unique_ptr<capture::WireLogWriter> capture_;
-  std::unique_ptr<InterfaceDaemon> daemon_;
-  std::unique_ptr<DrlEngine> engine_;
-  /// The distributed control plane's agent-side half (tcp transport
-  /// only; then daemon_/engine_/replay_/db_ stay null). Declared after
-  /// transport_ and capture_ — it references both.
-  std::unique_ptr<BrainClient> client_;
   std::unique_ptr<util::ThreadPool> pool_;
+  /// The brain, chosen once at construction: a LocalBrain, or a
+  /// BrainClient under the tcp transport. Declared after transport_,
+  /// capture_ and pool_ — it references all three.
+  std::unique_ptr<Brain> brain_;
+  LocalBrain* local_ = nullptr;    ///< brain_ when in-process
+  BrainClient* client_ = nullptr;  ///< brain_ under tcp
 
   /// All domains' Monitoring Agents in fan-in order (domain-major, then
   /// node): the unit of the per-tick sampling fan-out.

@@ -32,6 +32,12 @@ void ControlDomain::reset_parameters() {
   adapter_.set_parameters(param_values_);
 }
 
+void ControlDomain::deliver_parameters(const std::vector<double>& values) {
+  // Same binding as reset_parameters: the agents run the setters.
+  const auto binding = bind_sim_shard();
+  for (const auto& agent : control_agents_) agent->on_action_message(values);
+}
+
 void ControlDomain::add_monitoring_agent(std::unique_ptr<MonitoringAgent> agent) {
   monitoring_agents_.push_back(std::move(agent));
 }

@@ -87,6 +87,8 @@ class ControlDomain {
   const std::vector<double>& param_values() const { return param_values_; }
   /// Reset to initial values and push them into the target system.
   void reset_parameters();
+  /// Hand a checked parameter vector to every Control Agent.
+  void deliver_parameters(const std::vector<double>& values);
 
   // ---- simulator shard (wired by CapesSystem) ----------------------------
   /// This domain's shard of the sharded simulator event loop. Barrier-time

@@ -1,5 +1,6 @@
 #include "core/interface_daemon.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <string>
@@ -11,62 +12,50 @@
 
 namespace capes::core {
 
-namespace {
-
-/// Applying a checked action runs the target system's parameter setters,
-/// which may schedule follow-up events (e.g. a cluster re-arming its
-/// send loop); binding the owning domain's simulator shard keeps them in
-/// its queue, not shard 0. Domain-less shards (the legacy single-shard
-/// constructor) have nothing to bind.
-sim::Simulator::ShardBinding bind_domain_shard(const ControlDomain* domain) {
-  return domain != nullptr ? domain->bind_sim_shard()
-                           : sim::Simulator::no_binding();
+std::size_t action_slice(std::size_t action,
+                         const std::vector<std::size_t>& slice_offsets) {
+  const auto it =
+      std::upper_bound(slice_offsets.begin(), slice_offsets.end(), action);
+  return it == slice_offsets.begin()
+             ? 0
+             : static_cast<std::size_t>(it - slice_offsets.begin()) - 1;
 }
 
-}  // namespace
-
 InterfaceDaemon::InterfaceDaemon(rl::ReplayDb& replay,
-                                 const rl::ActionSpace& space,
+                                 std::vector<DaemonShard> shards,
                                  std::size_t num_nodes,
-                                 std::size_t pis_per_node)
-    : replay_(replay) {
-  Shard shard;
-  shard.space = &space;
-  shard.checker = std::make_unique<ActionChecker>(space);
-  shard.action_offset = 1;
-  shards_.push_back(std::move(shard));
-  decoders_.reserve(num_nodes);
-  for (std::size_t i = 0; i < num_nodes; ++i) {
-    decoders_.emplace_back(pis_per_node);
-  }
-}
-
-InterfaceDaemon::InterfaceDaemon(rl::ReplayDb& replay,
-                                 std::vector<ControlDomain*> domains,
                                  std::size_t pis_per_node,
                                  bus::Transport* transport)
-    : replay_(replay) {
-  assert(!domains.empty());
+    : replay_(replay), decoders_(num_nodes, PiDecoder(pis_per_node)) {
   if (transport != nullptr) {
     inbox_ = std::make_unique<PiChannel>(*transport, kStatusTopic);
   }
-  shards_.reserve(domains.size());
+  for (const DaemonShard& slice : shards) add_shard(slice, transport);
+}
+
+InterfaceDaemon::InterfaceDaemon(rl::ReplayDb& replay,
+                                 const std::vector<ControlDomain*>& domains,
+                                 std::size_t pis_per_node,
+                                 bus::Transport* transport)
+    : InterfaceDaemon(replay, {}, 0, pis_per_node, transport) {
   for (ControlDomain* domain : domains) {
-    Shard shard;
-    shard.domain = domain;
-    shard.space = &domain->space();
-    shard.checker = std::make_unique<ActionChecker>(domain->space());
-    shard.action_offset = domain->action_offset();
-    if (transport != nullptr) {
-      shard.actions = std::make_unique<ActionChannel>(
-          *transport, kActionTopicBase + domain->index(),
-          kActionChannelCapacity);
-    }
-    shards_.push_back(std::move(shard));
-    for (std::size_t i = 0; i < domain->num_nodes(); ++i) {
-      decoders_.emplace_back(pis_per_node);
-    }
+    add_shard(domain_shard(*domain), transport);
+    decoders_.resize(decoders_.size() + domain->num_nodes(),
+                     PiDecoder(pis_per_node));
   }
+}
+
+void InterfaceDaemon::add_shard(const DaemonShard& slice,
+                                bus::Transport* transport) {
+  Shard shard;
+  shard.slice = slice;
+  shard.checker = std::make_unique<ActionChecker>(*slice.space);
+  if (transport != nullptr) {
+    shard.actions = std::make_unique<ActionChannel>(
+        *transport, kActionTopicBase + shards_.size(), kActionChannelCapacity);
+  }
+  shards_.push_back(std::move(shard));
+  slice_offsets_.push_back(slice.action_offset);
 }
 
 std::size_t InterfaceDaemon::check_shard(std::size_t shard) const {
@@ -190,21 +179,17 @@ void InterfaceDaemon::set_payload_recycler(PayloadRecycler recycler) {
 
 std::size_t InterfaceDaemon::drain_actions(std::int64_t t) {
   std::size_t delivered = 0;
-  for (Shard& shard : shards_) {
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    Shard& shard = shards_[i];
     if (!shard.actions) continue;
-    const auto binding = bind_domain_shard(shard.domain);
     delivered += shard.actions->drain(
-        t, [this, t, &shard](bus::Message<std::vector<double>>& msg) {
+        t, [this, t, i, &shard](bus::Message<std::vector<double>>& msg) {
           if (capture_ != nullptr) {
-            capture_->record_f64s(
-                capture::RecordType::kBroadcast, t,
-                kActionTopicBase +
-                    (shard.domain != nullptr ? shard.domain->index() : 0),
-                msg.sender, msg.payload.data(), msg.payload.size());
+            capture_->record_f64s(capture::RecordType::kBroadcast, t,
+                                  kActionTopicBase + i, msg.sender,
+                                  msg.payload.data(), msg.payload.size());
           }
-          for (ControlAgent* agent : shard.control_agents) {
-            agent->on_action_message(msg.payload);
-          }
+          deliver(shard, msg.payload);
           // Recycle the broadcast buffer for the next publish.
           if (shard.action_pool.size() < 4) {
             shard.action_pool.push_back(std::move(msg.payload));
@@ -223,15 +208,27 @@ bus::ChannelStats InterfaceDaemon::bus_stats() const {
   return stats;
 }
 
-std::size_t InterfaceDaemon::apply_checked_action(
-    std::int64_t t, Shard& shard, std::size_t local_action,
-    std::size_t global_action, std::vector<double>& parameter_values) {
-  const rl::DecodedAction decoded = shard.space->decode(local_action);
+void InterfaceDaemon::deliver(Shard& shard, const std::vector<double>& values) {
+  for (ControlAgent* agent : shard.control_agents) {
+    agent->on_action_message(values);
+  }
+  if (shard.slice.domain != nullptr) {
+    shard.slice.domain->deliver_parameters(values);
+  }
+}
+
+std::size_t InterfaceDaemon::apply_checked_action(std::int64_t t,
+                                                  std::size_t shard_index,
+                                                  std::size_t local_action,
+                                                  std::size_t global_action) {
+  Shard& shard = shards_[shard_index];
+  std::vector<double>& parameter_values = *shard.slice.params;
+  const rl::DecodedAction decoded = shard.slice.space->decode(local_action);
   std::size_t recorded = global_action;
   if (!shard.checker->check(decoded, parameter_values)) {
     recorded = 0;  // vetoed -> NULL action
   } else if (!decoded.null_action) {
-    shard.space->apply(decoded, parameter_values);
+    shard.slice.space->apply(decoded, parameter_values);
     if (shard.actions) {
       // Control-network broadcast: the daemon's view of the parameters
       // updates now; the target system applies them when the message
@@ -245,13 +242,9 @@ std::size_t InterfaceDaemon::apply_checked_action(
         shard.action_pool.pop_back();
       }
       payload.assign(parameter_values.begin(), parameter_values.end());
-      shard.actions->publish(shard.domain ? shard.domain->index() : 0, t,
-                             std::move(payload));
+      shard.actions->publish(shard_index, t, std::move(payload));
     } else {
-      const auto binding = bind_domain_shard(shard.domain);
-      for (ControlAgent* agent : shard.control_agents) {
-        agent->on_action_message(parameter_values);
-      }
+      deliver(shard, parameter_values);
     }
     ++actions_broadcast_;
   }
@@ -264,54 +257,29 @@ std::size_t InterfaceDaemon::apply_checked_action(
       payload[i] = static_cast<std::uint8_t>(global_action >> (8 * i));
       payload[4 + i] = static_cast<std::uint8_t>(recorded >> (8 * i));
     }
-    capture_->record(
-        capture::RecordType::kAction, t,
-        kActionTopicBase + (shard.domain != nullptr ? shard.domain->index() : 0),
-        static_cast<std::uint64_t>(&shard - shards_.data()), payload,
-        sizeof(payload));
+    capture_->record(capture::RecordType::kAction, t,
+                     kActionTopicBase + shard_index, shard_index, payload,
+                     sizeof(payload));
   }
   return recorded;
 }
 
-std::size_t InterfaceDaemon::on_suggested_action(
-    std::int64_t t, std::size_t action_index,
-    std::vector<double>& parameter_values) {
-  assert(shards_.size() == 1);
-  return apply_checked_action(t, shards_[0], action_index, action_index,
-                              parameter_values);
-}
-
 std::size_t InterfaceDaemon::route_suggested_action(std::int64_t t,
                                                     std::size_t action_index) {
-  // The NULL action belongs to no slice; hand it to shard 0 so checker
-  // rules still see it (a rule can veto NULL too, as in the single-shard
-  // path — the recorded action is 0 either way).
-  std::size_t shard_index = 0;
-  std::size_t local = 0;
-  if (action_index != 0) {
-    while (shard_index + 1 < shards_.size() &&
-           action_index >= shards_[shard_index + 1].action_offset) {
-      ++shard_index;
-    }
-    local = action_index - shards_[shard_index].action_offset + 1;
-    assert(local < shards_[shard_index].space->num_actions());
-  }
-  Shard& shard = shards_[shard_index];
-  // Routed dispatch needs a domain-backed parameter vector; a daemon
-  // built through the legacy single-shard constructor must use
-  // on_suggested_action instead. Degrade to a recorded NULL action
-  // rather than dereferencing null in Release builds.
-  assert(shard.domain != nullptr);
-  if (shard.domain == nullptr) {
-    replay_.record_action(t, 0);
-    return 0;
-  }
-  return apply_checked_action(t, shard, local, action_index,
-                              shard.domain->param_values());
+  // The NULL action belongs to no slice; it goes to shard 0 so checker
+  // rules still see it (the recorded action is 0 either way).
+  assert(!shards_.empty());
+  const std::size_t shard = shard_of(action_index);
+  const std::size_t local =
+      action_index == 0 ? 0 : action_index - slice_offsets_[shard] + 1;
+  assert(local < shards_[shard].slice.space->num_actions());
+  return apply_checked_action(t, shard, local, action_index);
 }
 
-void InterfaceDaemon::register_control_agent(ControlAgent* agent) {
-  shards_[0].control_agents.push_back(agent);
+void InterfaceDaemon::reset_parameters() {
+  for (Shard& shard : shards_) {
+    *shard.slice.params = shard.slice.space->initial_values();
+  }
 }
 
 void InterfaceDaemon::register_control_agent(std::size_t shard,

@@ -4,14 +4,15 @@
 // that writes to the Replay DB; it decodes incoming PI messages, stores
 // them, relays rewards, and broadcasts checked actions.
 //
-// The daemon is a sharded fan-in: one shard per control domain. Incoming
-// PI messages carry global (domain-namespaced) node ids and route to the
-// owning shard's stateful decoder; a suggested composite action index
-// routes to the shard whose action slice contains it, is validated by
-// that shard's Action Checker, and — when it passes — is applied to that
-// domain's parameter vector and broadcast to that domain's Control
-// Agents only. With one shard this degenerates exactly to the original
-// single-cluster daemon.
+// The daemon is a sharded fan-in: one shard per slice of the composite
+// action namespace. Incoming PI messages carry global (domain-namespaced)
+// node ids and route to that node's stateful decoder; a suggested
+// composite action index routes to the shard whose slice contains it
+// (action_slice), is validated by that shard's Action Checker, and — when
+// it passes — is applied to that shard's parameter vector and broadcast
+// to its Control Agents only. A shard needs no ControlDomain: a learner
+// box checks against parameter mirrors. A daemon with no shards is
+// ingest-only (status decoding and replay writes).
 //
 // Control-network mode: constructed with a bus::Transport, the daemon
 // owns its PI inbox channel (which Monitoring Agents publish into) and
@@ -64,19 +65,43 @@ inline constexpr std::uint64_t kActionTopicBase = 2;
 /// guards against a pathological transport configuration.
 inline constexpr std::size_t kActionChannelCapacity = 1024;
 
+/// One slice of the composite action namespace; pointees must outlive
+/// the daemon.
+struct DaemonShard {
+  const rl::ActionSpace* space = nullptr;  ///< the slice's local actions
+  std::size_t action_offset = 1;           ///< global index of local action 1
+  std::vector<double>* params = nullptr;   ///< checked against, applied to
+  /// The owning domain, where one exists: applying parameters binds its
+  /// simulator shard and reaches its Control Agents.
+  ControlDomain* domain = nullptr;
+};
+
+/// `domain`'s slice: its space, offset and live parameter vector.
+inline DaemonShard domain_shard(ControlDomain& domain) {
+  return {&domain.space(), domain.action_offset(), &domain.param_values(),
+          &domain};
+}
+
+/// The slice owning composite action `action`: the last whose start
+/// offset is at or below it (NULL, 0, belongs to slice 0). The one
+/// composite-to-slice mapping: the daemon routes by it, BrainClient
+/// captures by it.
+std::size_t action_slice(std::size_t action,
+                         const std::vector<std::size_t>& slice_offsets);
+
 class InterfaceDaemon {
  public:
-  /// Single-shard daemon over an externally managed parameter vector (the
-  /// pre-domain construction, still used by agent-level tests). Always
-  /// direct-call: no control network between the agents and the daemon.
-  InterfaceDaemon(rl::ReplayDb& replay, const rl::ActionSpace& space,
-                  std::size_t num_nodes, std::size_t pis_per_node);
+  /// One shard per slice, in slice order (none = ingest-only), and one PI
+  /// decoder per global node. A non-null `transport` (which must outlive
+  /// the daemon) puts the PI inbox and the per-shard action broadcasts on
+  /// the control network.
+  InterfaceDaemon(rl::ReplayDb& replay, std::vector<DaemonShard> shards,
+                  std::size_t num_nodes, std::size_t pis_per_node,
+                  bus::Transport* transport = nullptr);
 
-  /// Sharded daemon: one shard per domain, in order. Domains must outlive
-  /// the daemon; their node/action offsets define the routing table. A
-  /// non-null `transport` (which must outlive the daemon) puts the PI
-  /// inbox and the per-shard action broadcasts on the control network.
-  InterfaceDaemon(rl::ReplayDb& replay, std::vector<ControlDomain*> domains,
+  /// One shard per domain (domain_shard), in order.
+  InterfaceDaemon(rl::ReplayDb& replay,
+                  const std::vector<ControlDomain*>& domains,
                   std::size_t pis_per_node,
                   bus::Transport* transport = nullptr);
 
@@ -88,24 +113,24 @@ class InterfaceDaemon {
   /// Record the objective-function output for tick t.
   void on_reward(std::int64_t t, double reward);
 
-  /// An action suggested by the DRL Engine for tick t, applied to the
-  /// caller's parameter vector (single-shard daemons only). Runs the
-  /// action checker; if it passes, records the action and broadcasts the
-  /// resulting parameter values to the shard's Control Agents. Returns the
-  /// action actually recorded (vetoed actions degrade to the NULL action,
-  /// which is what reaches the replay DB — the system did nothing that
-  /// tick).
-  std::size_t on_suggested_action(std::int64_t t, std::size_t action_index,
-                                  std::vector<double>& parameter_values);
-
-  /// Sharded form: route the composite `action_index` to its owning
-  /// domain and apply it to that domain's parameter vector. Same veto /
-  /// record semantics as on_suggested_action. In control-network mode the
-  /// domain-side parameter vector updates immediately (the daemon's view)
-  /// but the broadcast to the Control Agents rides the shard's action
-  /// channel — a delayed action reaches the target system on a later
-  /// tick, exactly as in a real deployment.
+  /// Route the composite `action_index` suggested for tick t to its
+  /// owning shard and apply it to that shard's parameter vector. Runs the
+  /// shard's action checker; if it passes, broadcasts the resulting
+  /// parameter values to the shard's Control Agents. Returns the action
+  /// recorded (a veto degrades to the NULL action — the system did
+  /// nothing that tick). In control-network mode the parameter vector
+  /// updates immediately (the daemon's view) but the broadcast rides the
+  /// shard's action channel — a delayed action reaches the target system
+  /// on a later tick, exactly as in a real deployment.
   std::size_t route_suggested_action(std::int64_t t, std::size_t action_index);
+
+  /// The shard owning composite action `action_index`.
+  std::size_t shard_of(std::size_t action_index) const {
+    return action_slice(action_index, slice_offsets_);
+  }
+
+  /// Reset every shard's parameter vector to its space's initial values.
+  void reset_parameters();
 
   // ---- control network -----------------------------------------------------
   /// The PI inbox Monitoring Agents publish into (null without a
@@ -140,9 +165,8 @@ class InterfaceDaemon {
   /// All-zero without a transport.
   bus::ChannelStats bus_stats() const;
 
-  void register_control_agent(ControlAgent* agent);  ///< shard 0
+  /// Extra Control Agents for a shard, beyond its domain's own.
   void register_control_agent(std::size_t shard, ControlAgent* agent);
-  ActionChecker& action_checker() { return *shards_[0].checker; }
   ActionChecker& action_checker(std::size_t shard) {
     return *shards_[check_shard(shard)].checker;
   }
@@ -160,14 +184,9 @@ class InterfaceDaemon {
   void set_capture(capture::WireLogWriter* writer) { capture_ = writer; }
 
  private:
-  /// Routing state for one domain's slice of the action namespace (node
-  /// routing needs no per-shard state: decoders_ is indexed by the global
-  /// node id directly).
   struct Shard {
-    ControlDomain* domain = nullptr;  ///< null for the single-shard ctor
-    const rl::ActionSpace* space = nullptr;
+    DaemonShard slice;
     std::unique_ptr<ActionChecker> checker;
-    std::size_t action_offset = 1;  ///< global index of local action 1
     std::vector<ControlAgent*> control_agents;
     /// Control-network broadcast channel (null = direct calls).
     std::unique_ptr<ActionChannel> actions;
@@ -177,18 +196,24 @@ class InterfaceDaemon {
     std::vector<std::vector<double>> action_pool;
   };
 
+  void add_shard(const DaemonShard& slice, bus::Transport* transport);
+
   /// Validated shard index; throws std::out_of_range (with the shard
   /// count in the message) on a bad one — indexing another domain's
   /// checker or agent list would silently corrupt cross-domain state.
   std::size_t check_shard(std::size_t shard) const;
 
-  std::size_t apply_checked_action(std::int64_t t, Shard& shard,
+  /// Apply `values` through the shard's Control Agents: the registered
+  /// ones, then the domain's.
+  static void deliver(Shard& shard, const std::vector<double>& values);
+
+  std::size_t apply_checked_action(std::int64_t t, std::size_t shard_index,
                                    std::size_t local_action,
-                                   std::size_t global_action,
-                                   std::vector<double>& parameter_values);
+                                   std::size_t global_action);
 
   rl::ReplayDb& replay_;
   std::vector<Shard> shards_;
+  std::vector<std::size_t> slice_offsets_;  ///< shards_[i].slice.action_offset
   std::vector<PiDecoder> decoders_;  // one per global node
   std::unique_ptr<PiChannel> inbox_;
   PayloadRecycler payload_recycler_;

@@ -3,10 +3,10 @@
 #include <cstdio>
 
 #include "capture/wire_log_writer.hpp"
-#include "core/control_agent.hpp"
 #include "core/interface_daemon.hpp"
 #include "net/socket.hpp"
 #include "util/frame.hpp"
+#include "util/logging.hpp"
 #include "util/serialize.hpp"
 
 namespace capes::core {
@@ -88,10 +88,18 @@ BrainClient::BrainClient(bus::Transport& transport, bus::TransportOptions opts,
 
 BrainClient::~BrainClient() { bye(0); }
 
-bool BrainClient::connect(const capture::TraceMeta& meta,
-                          std::vector<ControlDomain*> domains,
-                          std::string* error) {
-  domains_ = std::move(domains);
+bool BrainClient::connect(
+    const capture::TraceMeta& meta,
+    const std::vector<std::unique_ptr<ControlDomain>>& domains,
+    std::string* error) {
+  HelloPayload hello;
+  hello.meta = meta;
+  for (const auto& domain : domains) {
+    domains_.push_back(domain.get());
+    slice_offsets_.push_back(domain->action_offset());
+    hello.domains.push_back(
+        {domain->action_offset(), domain->space().parameters()});
+  }
   std::string sock_error;
   const int fd =
       net::tcp_connect(opts_.tcp_host, static_cast<std::uint16_t>(opts_.tcp_port),
@@ -105,15 +113,6 @@ bool BrainClient::connect(const capture::TraceMeta& meta,
   }
   endpoint_ = std::make_unique<net::Endpoint>(fd, endpoint_opts_);
 
-  HelloPayload hello;
-  hello.meta = meta;
-  hello.domains.reserve(domains_.size());
-  for (const ControlDomain* domain : domains_) {
-    RemoteDomain rd;
-    rd.action_offset = domain->action_offset();
-    rd.params = domain->space().parameters();
-    hello.domains.push_back(std::move(rd));
-  }
   const std::vector<std::uint8_t> blob = encode_hello(hello);
   if (!endpoint_->send(kFrameHello, 0, 0, 0, blob.data(), blob.size())) {
     if (error != nullptr) *error = "handshake send failed (link dead)";
@@ -156,7 +155,7 @@ bool BrainClient::send_frame(std::uint8_t type, std::int64_t tick,
                              const std::uint8_t* payload,
                              std::size_t payload_size) {
   if (endpoint_ == nullptr) {
-    ++dead_drops_;
+    ++dropped_;
     return false;
   }
   return endpoint_->send(type, tick, topic, sender, payload, payload_size);
@@ -193,7 +192,13 @@ void BrainClient::stash_broadcast(const net::Frame& frame) {
       frame.topic >= kActionTopicBase
           ? static_cast<std::size_t>(frame.topic - kActionTopicBase)
           : domains_.size();
-  if (domain >= domains_.size()) return;  // garbled topic: drop
+  // A garbled topic or a payload that is not exactly the domain's
+  // parameter vector never reaches the target system's setters.
+  if (domain >= domains_.size() ||
+      frame.payload.size() != 8 * domains_[domain]->num_parameters()) {
+    ++dropped_;
+    return;
+  }
   if (stash_count_ == stash_.size()) stash_.emplace_back();
   PendingBroadcast& pending = stash_[stash_count_++];
   pending.domain = domain;
@@ -216,24 +221,16 @@ void BrainClient::apply_broadcasts(std::int64_t t) {
     }
     domain->param_values().assign(pending.values.begin(),
                                   pending.values.end());
-    // Applying parameters runs the target system's setters, which may
-    // schedule simulator events — bind the owning domain's shard, as
-    // the daemon's drain_actions does.
-    const auto binding = domain->bind_sim_shard();
-    for (const auto& agent : domain->control_agents()) {
-      agent->on_action_message(domain->param_values());
-    }
+    domain->deliver_parameters(domain->param_values());
   }
   stash_count_ = 0;
 }
 
-TickOutcome BrainClient::end_tick(std::int64_t t, std::uint8_t mode) {
+TickOutcome BrainClient::end_tick(std::int64_t t, RunPhase mode) {
   TickOutcome out;
-  send_frame(kFrameTickDone, t, 0, 0, &mode, 1);
-  if (endpoint_ == nullptr) {
-    out.link_alive = false;
-    return out;
-  }
+  const auto mode_byte = static_cast<std::uint8_t>(mode);
+  send_frame(kFrameTickDone, t, 0, 0, &mode_byte, 1);
+  if (endpoint_ == nullptr) return out;
   stash_count_ = 0;
   for (;;) {
     net::InSlot* slot = endpoint_->recv();
@@ -241,8 +238,7 @@ TickOutcome BrainClient::end_tick(std::int64_t t, std::uint8_t mode) {
       // The daemon vanished mid-tick: finish the tick with no action and
       // surface the loss through stats().dropped — never hang the loop.
       stash_count_ = 0;
-      out.link_alive = false;
-      ++dead_drops_;
+      ++dropped_;
       return out;
     }
     const net::Frame& f = slot->frame;
@@ -264,15 +260,8 @@ TickOutcome BrainClient::end_tick(std::int64_t t, std::uint8_t mode) {
   }
   total_train_steps_ = out.total_train_steps;
   if (capture_ != nullptr) {
-    // Mirror apply_checked_action's record: the suggestion routes to the
-    // shard whose action slice contains it (NULL belongs to shard 0).
-    std::size_t shard = 0;
-    if (out.suggested != 0) {
-      while (shard + 1 < domains_.size() &&
-             out.suggested >= domains_[shard + 1]->action_offset()) {
-        ++shard;
-      }
-    }
+    // Mirror the daemon's kAction record: the suggestion's slice owns it.
+    const std::size_t shard = action_slice(out.suggested, slice_offsets_);
     std::uint8_t payload[8];
     util::put_le32(payload, static_cast<std::uint32_t>(out.suggested));
     util::put_le32(payload + 4, static_cast<std::uint32_t>(out.recorded));
@@ -284,12 +273,16 @@ TickOutcome BrainClient::end_tick(std::int64_t t, std::uint8_t mode) {
   return out;
 }
 
-void BrainClient::begin_phase(std::int64_t t, std::uint8_t phase) {
-  send_frame(frame_type(capture::RecordType::kPhaseBegin), t, 0, 0, &phase, 1);
+void BrainClient::begin_phase(std::int64_t t, RunPhase phase) {
+  const auto phase_byte = static_cast<std::uint8_t>(phase);
+  send_frame(frame_type(capture::RecordType::kPhaseBegin), t, 0, 0,
+             &phase_byte, 1);
 }
 
-bool BrainClient::end_phase(std::int64_t t, std::uint8_t phase) {
-  send_frame(frame_type(capture::RecordType::kPhaseEnd), t, 0, 0, &phase, 1);
+bool BrainClient::end_phase(std::int64_t t, RunPhase phase) {
+  const auto phase_byte = static_cast<std::uint8_t>(phase);
+  send_frame(frame_type(capture::RecordType::kPhaseEnd), t, 0, 0, &phase_byte,
+             1);
   if (endpoint_ == nullptr) return false;
   for (;;) {
     net::InSlot* slot = endpoint_->recv();
@@ -315,6 +308,16 @@ void BrainClient::workload_change(std::int64_t t) {
              nullptr, 0);
 }
 
+bool BrainClient::save_model(const std::string&) const {
+  CAPES_LOG_WARN("capes") << "save_model: the model lives in capes_daemond";
+  return false;
+}
+
+bool BrainClient::load_model(const std::string&) {
+  CAPES_LOG_WARN("capes") << "load_model: the model lives in capes_daemond";
+  return false;
+}
+
 void BrainClient::bye(std::int64_t t) {
   if (endpoint_ == nullptr) return;
   send_frame(kFrameBye, t, 0, 0, nullptr, 0);
@@ -324,7 +327,7 @@ void BrainClient::bye(std::int64_t t) {
 bus::ChannelStats BrainClient::stats() const {
   bus::ChannelStats stats = inbox_.stats();
   if (endpoint_ != nullptr) stats.dropped += endpoint_->send_dropped();
-  stats.dropped += dead_drops_;
+  stats.dropped += dropped_;
   return stats;
 }
 

@@ -19,13 +19,13 @@
 //
 // Per-tick lock step: the client ships this tick's status + reward
 // frames, then kFrameTickDone; the service ingests them in FIFO order,
-// computes/checks/records the action exactly as the in-process
-// InterfaceDaemon would, streams the resulting kBroadcast frames, and
-// closes the tick with kFrameActionsDone. Because the service consumes
-// frames in send order and both sides apply the same deterministic
-// logic, a loopback run with zero loss is bit-identical to the `sync`
-// transport — the equivalence bar tests/integration/test_distributed
-// holds it to.
+// runs the same LocalBrain tick step the in-process system runs (against
+// parameter mirrors of the agent-side domains), streams the resulting
+// kBroadcast frame back, and closes the tick with kFrameActionsDone.
+// Because the service consumes frames in send order and runs the same
+// deterministic code, a loopback run with zero loss is bit-identical to
+// the `sync` transport — the equivalence bar tests/integration/
+// test_distributed holds it to.
 
 #include <cstdint>
 #include <functional>
@@ -37,8 +37,8 @@
 #include "bus/transport.hpp"
 #include "capture/trace_meta.hpp"
 #include "capture/wire_format.hpp"
+#include "core/brain.hpp"
 #include "core/control_domain.hpp"
-#include "core/monitoring_agent.hpp"
 #include "net/endpoint.hpp"
 #include "rl/action_space.hpp"
 
@@ -67,14 +67,11 @@ constexpr std::uint8_t frame_type(capture::RecordType t) {
   return static_cast<std::uint8_t>(t);
 }
 
-/// Wire values of the phase byte in kFrameTickDone / kPhaseBegin /
-/// kPhaseEnd payloads — the RunPhase enumerators, pinned here so the
-/// protocol does not silently shift if that enum is ever reordered
-/// (capture files already bake these values into phase records).
-inline constexpr std::uint8_t kPhaseIdle = 0;
-inline constexpr std::uint8_t kPhaseTraining = 1;
-inline constexpr std::uint8_t kPhaseBaseline = 2;
-inline constexpr std::uint8_t kPhaseTuned = 3;
+/// The phase byte in kFrameTickDone / kPhaseBegin / kPhaseEnd payloads
+/// is the RunPhase value, as in capture phase records: never reorder it.
+static_assert(static_cast<int>(RunPhase::kTraining) == 1 &&
+              static_cast<int>(RunPhase::kBaseline) == 2 &&
+              static_cast<int>(RunPhase::kTuned) == 3);
 
 /// One control domain as described in the Hello: where its action slice
 /// starts in the composite action namespace, and its tunable parameters
@@ -99,23 +96,12 @@ std::vector<std::uint8_t> encode_hello(const HelloPayload& hello);
 /// nullopt on a version mismatch or a truncated/garbled payload.
 std::optional<HelloPayload> decode_hello(const std::vector<std::uint8_t>& blob);
 
-/// What kFrameActionsDone reports back for one tick.
-struct TickOutcome {
-  std::size_t suggested = 0;      ///< the engine's composite action index
-  std::size_t recorded = 0;       ///< post-veto (0 = NULL action)
-  std::size_t train_steps = 0;    ///< minibatch steps this tick
-  std::size_t total_train_steps = 0;
-  /// False when the service vanished before answering: the tick completes
-  /// with no action applied and the loss shows up in stats().dropped.
-  bool link_alive = true;
-};
-
-/// The agent-side half of the distributed control plane. Owns the tcp
-/// connection to capes_daemond and stands in for the in-process
-/// InterfaceDaemon + DrlEngine on the CapesSystem tick path:
+/// The agent-side half of the distributed control plane: the Brain a
+/// CapesSystem under `tcp:` drives, standing in for the in-process
+/// LocalBrain:
 ///
 ///   sample_all_agents -> inbox() -> flush_status(t)     (kStatus frames)
-///   on_reward         -> send_reward(t, ...)            (kReward frame)
+///   reward            -> send_reward(t, ...)            (kReward frame)
 ///   action + train    -> end_tick(t, mode)              (kFrameTickDone,
 ///                        blocks for kBroadcast* + kFrameActionsDone)
 ///
@@ -124,19 +110,13 @@ struct TickOutcome {
 /// outbound ring sheds frames into stats().dropped, the same surface a
 /// lossy SimTransport reports on. A dead peer never hangs the loop:
 /// every blocking wait exits when the endpoint marks the link dead.
-class BrainClient {
+class BrainClient final : public Brain {
  public:
-  using PayloadRecycler =
-      std::function<void(std::uint64_t sender, std::vector<std::uint8_t>&& payload)>;
-
   /// `transport` (a TcpTransport; must outlive the client) backs the
   /// local inbox channel; `opts` supplies host/port/connect_timeout_ms.
   BrainClient(bus::Transport& transport, bus::TransportOptions opts,
               net::EndpointOptions endpoint_opts = {});
-  ~BrainClient();
-
-  BrainClient(const BrainClient&) = delete;
-  BrainClient& operator=(const BrainClient&) = delete;
+  ~BrainClient() override;
 
   /// Dial the daemon (with the socket layer's capped-backoff retry until
   /// connect_timeout_ms), send kFrameHello, and block for kFrameHelloAck.
@@ -144,67 +124,46 @@ class BrainClient {
   /// parameter vectors and Control Agents. False + `*error` on refused
   /// connection, version mismatch, or a daemon that rejected the Hello.
   bool connect(const capture::TraceMeta& meta,
-               std::vector<ControlDomain*> domains, std::string* error);
+               const std::vector<std::unique_ptr<ControlDomain>>& domains,
+               std::string* error);
 
-  /// The PI inbox Monitoring Agents publish into (same role as
-  /// InterfaceDaemon::inbox()). Valid for the client's lifetime.
-  PiChannel& inbox() { return inbox_; }
-
-  /// Flight recorder for the agent-side mirror of every daemon-boundary
-  /// record (nullable; must outlive the client while set).
-  void set_capture(capture::WireLogWriter* writer) { capture_ = writer; }
-
-  /// Same contract as InterfaceDaemon::set_payload_recycler: drained PI
-  /// payload buffers flow back to the agent that encoded them.
-  void set_payload_recycler(PayloadRecycler recycler);
-
-  /// Ship every PI message due by tick `t` as kStatus frames, in the
-  /// channel's deterministic (deliver tick, sender, send tick) order —
-  /// the order the in-process daemon would have ingested them. Returns
-  /// messages shipped.
-  std::size_t flush_status(std::int64_t t);
-
-  /// Ship this tick's objective output (kReward; the extra fields mirror
-  /// the capture record so agent-side captures replay identically).
+  // The Brain protocol over the wire. flush_status ships kStatus frames,
+  // send_reward a kReward frame, end_tick kFrameTickDone — then blocks
+  // for kFrameActionsDone and applies the kBroadcast frames that came
+  // first (parameter vector + Control Agents of the owning domain); a
+  // broadcast for no domain, or not exactly that domain's parameter
+  // vector, is dropped and counted. end_phase blocks for
+  // kFramePhaseEndAck, which refreshes the fingerprint and step count.
+  // stats() folds the endpoint's shed frames and the rejected broadcasts
+  // into `dropped`, so tcp loss surfaces in messages_dropped exactly as
+  // sim-transport loss does. The model lives in capes_daemond:
+  // save/load_model warn and fail.
+  PiChannel& inbox() override { return inbox_; }
+  std::size_t flush_status(std::int64_t t) override;
   void send_reward(std::int64_t t, double reward, double throughput_sum,
-                   double latency_mean);
-
-  /// Close tick `t`: send kFrameTickDone and block until the service's
-  /// kFrameActionsDone, applying any kBroadcast frames (parameter vector
-  /// + Control Agents of the owning domain) in arrival order on the way.
-  TickOutcome end_tick(std::int64_t t, std::uint8_t mode);
-
-  /// Phase markers (kPhaseBegin / kPhaseEnd). end_phase blocks for
-  /// kFramePhaseEndAck — the remote analogue of drain_learner() — and
-  /// refreshes weights_fingerprint() / total_train_steps(); false when
-  /// the link died first.
-  void begin_phase(std::int64_t t, std::uint8_t phase);
-  bool end_phase(std::int64_t t, std::uint8_t phase);
-
-  /// Reset every service-side parameter mirror to its initial values
-  /// (run_baseline's reset, kFrameParamsReset).
-  void reset_params(std::int64_t t);
-
-  /// §3.6 workload-change hint (kWorkloadChange -> engine epsilon bump).
-  void workload_change(std::int64_t t);
+                   double latency_mean) override;
+  TickOutcome end_tick(std::int64_t t, RunPhase mode) override;
+  void begin_phase(std::int64_t t, RunPhase phase) override;
+  bool end_phase(std::int64_t t, RunPhase phase) override;
+  void reset_params(std::int64_t t) override;
+  void workload_change(std::int64_t t) override;
+  bus::ChannelStats stats() const override;
+  std::uint32_t weights_fingerprint() const override { return fingerprint_; }
+  std::size_t total_train_steps() const override {
+    return total_train_steps_;
+  }
+  bool save_model(const std::string& path) const override;
+  bool load_model(const std::string& path) override;
+  void set_capture(capture::WireLogWriter* writer) override {
+    capture_ = writer;
+  }
+  void set_payload_recycler(PayloadRecycler recycler) override;
 
   /// Polite shutdown: kFrameBye, then close the endpoint. The service
   /// reports a clean session. Idempotent; the destructor calls it.
   void bye(std::int64_t t);
 
   bool alive() const { return endpoint_ != nullptr && endpoint_->alive(); }
-
-  /// Last fingerprint/step count the service reported (HelloAck, then
-  /// each PhaseEndAck) — the remote stand-ins for
-  /// DrlEngine::weights_fingerprint() / total_train_steps().
-  std::uint32_t weights_fingerprint() const { return fingerprint_; }
-  std::size_t total_train_steps() const { return total_train_steps_; }
-
-  /// Control-network accounting, shaped like InterfaceDaemon::bus_stats():
-  /// the inbox channel's counters with the endpoint's shed/undeliverable
-  /// frames folded into `dropped` — so PhaseReport::messages_dropped
-  /// surfaces tcp loss exactly as it does sim-transport loss.
-  bus::ChannelStats stats() const;
 
   /// The wire endpoint (null before connect); byte counters feed
   /// bench/ext_net.
@@ -222,6 +181,7 @@ class BrainClient {
   net::EndpointOptions endpoint_opts_;
   PiChannel inbox_;
   std::vector<ControlDomain*> domains_;
+  std::vector<std::size_t> slice_offsets_;  ///< domains' action offsets
   capture::WireLogWriter* capture_ = nullptr;
   PayloadRecycler payload_recycler_;
   std::unique_ptr<net::Endpoint> endpoint_;
@@ -229,8 +189,9 @@ class BrainClient {
   std::uint32_t fingerprint_ = 0;
   std::size_t total_train_steps_ = 0;
   /// Frames that could not even be queued because the link was already
-  /// dead (the endpoint's own counter covers shed-while-alive).
-  std::uint64_t dead_drops_ = 0;
+  /// dead (the endpoint's own counter covers shed-while-alive), plus
+  /// rejected broadcasts.
+  std::uint64_t dropped_ = 0;
 
   /// Recycled broadcast stash: slots grow once, values keep capacity.
   struct PendingBroadcast {

@@ -14,32 +14,6 @@ namespace capes::core {
 using util::get_le32;
 using util::get_le_f64;
 
-/// Rebuild the live run's engine configuration from the capture meta.
-/// Always the sync learner (bit-identical weights by the engine's
-/// sync==async guarantee) with checkpointing off.
-DrlEngineOptions engine_options_from_meta(const capture::TraceMeta& m) {
-  DrlEngineOptions e;
-  e.dqn.num_actions = m.num_actions;
-  e.dqn.num_hidden_layers = m.num_hidden_layers;
-  e.dqn.hidden_size = m.hidden_size;
-  e.dqn.gamma = m.gamma;
-  e.dqn.learning_rate = m.learning_rate;
-  e.dqn.target_update_alpha = m.target_update_alpha;
-  e.dqn.loss = static_cast<rl::LossKind>(m.loss_kind);
-  e.dqn.use_target_network = m.use_target_network;
-  e.dqn.use_double_dqn = m.use_double_dqn;
-  e.dqn.activation = static_cast<nn::Activation>(m.activation);
-  e.epsilon.initial = m.epsilon_initial;
-  e.epsilon.final_value = m.epsilon_final;
-  e.epsilon.anneal_ticks = m.epsilon_anneal_ticks;
-  e.epsilon.bump_value = m.epsilon_bump_value;
-  e.epsilon.bump_ticks = m.epsilon_bump_ticks;
-  e.minibatch_size = m.minibatch_size;
-  e.train_steps_per_tick = m.train_steps_per_tick;
-  e.eval_epsilon = m.eval_epsilon;
-  return e;
-}
-
 bool parse_replay_speed(const std::string& text, ReplaySpeed* out) {
   if (text == "realtime") {
     *out = ReplaySpeed::kRealtime;
@@ -72,40 +46,27 @@ bool TraceReplayer::open(const std::string& path, TraceReplayOptions opts,
     return false;
   }
 
-  rl::ReplayDbOptions replay_opts;
-  replay_opts.num_nodes = meta_.num_nodes;
-  replay_opts.pis_per_node = meta_.pis_per_node;
-  replay_opts.ticks_per_observation = meta_.ticks_per_observation;
-  replay_opts.missing_tolerance = meta_.missing_tolerance;
-  replay_opts.max_ticks_retained = meta_.max_ticks_retained;
-  DrlEngineOptions engine_opts = engine_options_from_meta(meta_);
+  BrainOptions brain_opts = brain_options_from_meta(meta_);
   if (opts_.config_overlay != nullptr) {
-    const CapesOptions& overlay = *opts_.config_overlay;
-    engine_opts = overlay.engine;
-    engine_opts.dqn.num_actions = meta_.num_actions;  // topology is traced
-    engine_opts.learner_mode = LearnerMode::kSync;
-    engine_opts.checkpoint_ticks = 0;
-    replay_opts.ticks_per_observation = overlay.replay.ticks_per_observation;
-    replay_opts.missing_tolerance = overlay.replay.missing_tolerance;
-    replay_opts.max_ticks_retained = overlay.replay.max_ticks_retained;
+    // The overlay's hyperparameters on the traced topology. Seeds always
+    // come from the capture, overlay or not: a diff should isolate the
+    // hyperparameter change, not add seed noise (and the conf scheme has
+    // no seed keys anyway — seeds flow through --seed presets).
+    const BrainOptions traced = brain_opts;
+    brain_opts = {opts_.config_overlay->replay, opts_.config_overlay->engine};
+    brain_opts.replay.num_nodes = traced.replay.num_nodes;
+    brain_opts.replay.pis_per_node = traced.replay.pis_per_node;
+    brain_opts.engine.dqn.num_actions = traced.engine.dqn.num_actions;
+    brain_opts.engine.seed = traced.engine.seed;
+    brain_opts.engine.dqn.seed = traced.engine.dqn.seed;
+    brain_opts.engine.learner_mode = LearnerMode::kSync;
+    brain_opts.engine.checkpoint_ticks = 0;
   }
-  // Seeds always come from the capture, overlay or not: a diff should
-  // isolate the hyperparameter change, not add seed noise (and the conf
-  // scheme has no seed keys anyway — seeds flow through --seed presets).
-  engine_opts.seed = meta_.engine_seed;
-  engine_opts.dqn.seed = meta_.dqn_seed;
-
-  replay_ = std::make_unique<rl::ReplayDb>(replay_opts);
-  // The daemon is ingest-only here (on_status_message / record routing);
-  // it never decodes or applies an action, so an empty action space — a
-  // lone NULL action — satisfies the legacy single-shard constructor.
-  space_ = std::make_unique<rl::ActionSpace>(std::vector<rl::TunableParameter>{});
-  daemon_ = std::make_unique<InterfaceDaemon>(*replay_, *space_,
-                                              meta_.num_nodes,
-                                              meta_.pis_per_node);
-  engine_ = std::make_unique<DrlEngine>(engine_opts, *replay_);
+  // Ingest-only: no shards, because replay records the traced action
+  // rather than routing one.
+  brain_ = std::make_unique<LocalBrain>(brain_opts, std::vector<DaemonShard>{});
   fresh_weights_match_ =
-      engine_->weights_fingerprint() == meta_.initial_weights_fingerprint;
+      brain_->weights_fingerprint() == meta_.initial_weights_fingerprint;
   if (!fresh_weights_match_ && opts_.config_overlay == nullptr) {
     CAPES_LOG_WARN("replay")
         << "fresh weights do not match the capture's starting fingerprint "
@@ -117,6 +78,8 @@ bool TraceReplayer::open(const std::string& path, TraceReplayOptions opts,
 
 TraceReplayReport TraceReplayer::run() {
   TraceReplayReport report;
+  rl::ReplayDb& replay = brain_->replay();
+  DrlEngine& engine = brain_->engine();
   ReplayPhaseSummary phase;
   bool in_phase = false;
   double reward_sum = 0.0;
@@ -137,14 +100,14 @@ TraceReplayReport TraceReplayer::run() {
     switch (rec.type) {
       case capture::RecordType::kStatus:
         ++report.status_records;
-        daemon_->on_status_message(rec.payload);
+        brain_->daemon().on_status_message(rec.payload);
         break;
 
       case capture::RecordType::kReward: {
         if (rec.payload.size() < 24) break;  // malformed-but-valid-CRC guard
         ++report.reward_records;
         const double reward = get_le_f64(rec.payload.data());
-        replay_->record_reward(rec.tick, reward);
+        replay.record_reward(rec.tick, reward);
         if (in_phase) {
           ++phase.ticks;
           reward_sum += reward;
@@ -174,15 +137,15 @@ TraceReplayReport TraceReplayer::run() {
           // is fixed by the capture, so divergent suggestions (possible
           // only under a config overlay) are counted, not applied.
           const std::size_t suggested =
-              engine_->compute_action(rec.tick, training);
+              engine.compute_action(rec.tick, training);
           if (suggested != traced_suggested) {
             ++report.action_mismatches;
             if (in_phase) ++phase.action_mismatches;
           }
         }
-        replay_->record_action(rec.tick, traced_recorded);
+        replay.record_action(rec.tick, traced_recorded);
         if (training) {
-          phase.train_steps += engine_->train_tick();
+          phase.train_steps += engine.train_tick();
         }
         break;
       }
@@ -222,7 +185,7 @@ TraceReplayReport TraceReplayer::run() {
 
       case capture::RecordType::kWorkloadChange:
         ++report.workload_changes;
-        engine_->notify_workload_change();
+        brain_->workload_change(rec.tick);
         break;
 
       case capture::RecordType::kFault: {
@@ -257,9 +220,9 @@ TraceReplayReport TraceReplayer::run() {
 
   report.read_stats = reader_.stats();
   report.tail_truncated = reader_.tail_truncated();
-  report.decode_errors = daemon_->decode_errors();
-  report.total_train_steps = engine_->total_train_steps();
-  report.weights_fingerprint = engine_->weights_fingerprint();
+  report.decode_errors = brain_->daemon().decode_errors();
+  report.total_train_steps = engine.total_train_steps();
+  report.weights_fingerprint = engine.weights_fingerprint();
   return report;
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 // Train-from-trace: feed a flight-recorder capture back into a fresh
-// InterfaceDaemon + DrlEngine, reproducing the live run's Replay DB
+// LocalBrain (built from the capture meta through the same from-meta path
+// as the tcp brain service), reproducing the live run's Replay DB
 // writes and training schedule without a simulator or target system. The
 // replayed PI bytes hit fresh stateful decoders in delivery order, the
 // traced rewards and recorded actions land in the Replay DB exactly as
@@ -17,10 +18,8 @@
 
 #include "capture/trace_meta.hpp"
 #include "capture/wire_log_reader.hpp"
+#include "core/brain.hpp"
 #include "core/capes_system.hpp"
-#include "core/interface_daemon.hpp"
-#include "rl/action_space.hpp"
-#include "rl/replay_db.hpp"
 
 namespace capes::core {
 
@@ -32,13 +31,6 @@ enum class ReplaySpeed {
 
 /// Parse "realtime" | "fast" | "max"; false leaves `out` untouched.
 bool parse_replay_speed(const std::string& text, ReplaySpeed* out);
-
-/// Rebuild a live run's engine configuration from capture meta: always
-/// the sync learner, checkpointing off. Shared by the trace replayer and
-/// the remote brain service (capes_daemond), which must both reconstruct
-/// the exact engine a capture/Hello describes. Seeds are NOT set here —
-/// callers assign engine_seed/dqn_seed from the meta explicitly.
-DrlEngineOptions engine_options_from_meta(const capture::TraceMeta& m);
 
 struct TraceReplayOptions {
   ReplaySpeed speed = ReplaySpeed::kMax;
@@ -98,8 +90,9 @@ class TraceReplayer {
   ~TraceReplayer();
 
   /// Load + validate the capture and construct the fresh replay pipeline
-  /// (Replay DB, daemon decoders, DRL engine). False + `*error` on a
-  /// missing/corrupt file, undecodable meta, or zero valid records.
+  /// (an ingest-only LocalBrain: Replay DB, daemon decoders, DRL engine).
+  /// False + `*error` on a missing/corrupt file, undecodable meta, or zero
+  /// valid records.
   bool open(const std::string& path, TraceReplayOptions opts,
             std::string* error);
 
@@ -119,12 +112,7 @@ class TraceReplayer {
   capture::TraceMeta meta_;
   bool fresh_weights_match_ = true;
 
-  // Destruction order mirrors CapesSystem: the daemon references the
-  // replay DB and the action space; the engine references the replay DB.
-  std::unique_ptr<rl::ReplayDb> replay_;
-  std::unique_ptr<rl::ActionSpace> space_;  ///< empty dummy (ingest only)
-  std::unique_ptr<InterfaceDaemon> daemon_;
-  std::unique_ptr<DrlEngine> engine_;
+  std::unique_ptr<LocalBrain> brain_;
 };
 
 }  // namespace capes::core

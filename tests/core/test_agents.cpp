@@ -18,12 +18,13 @@ namespace {
 
 using testing::MockAdapter;
 
+/// One domain-less shard over the fixture's own parameter vector.
 struct DaemonFixture : public ::testing::Test {
   DaemonFixture()
       : adapter(3, 4),
         space(adapter.tunable_parameters()),
         replay(make_replay_options(), nullptr),
-        daemon(replay, space, 3, 4) {}
+        daemon(replay, {DaemonShard{&space, 1, &values}}, 3, 4) {}
 
   static rl::ReplayDbOptions make_replay_options() {
     rl::ReplayDbOptions o;
@@ -35,6 +36,7 @@ struct DaemonFixture : public ::testing::Test {
 
   MockAdapter adapter;
   rl::ActionSpace space;
+  std::vector<double> values{50.0};
   rl::ReplayDb replay;
   InterfaceDaemon daemon;
 };
@@ -96,10 +98,9 @@ TEST_F(DaemonFixture, RewardRecorded) {
 
 TEST_F(DaemonFixture, SuggestedActionAppliesAndBroadcasts) {
   ControlAgent ca0(0, adapter), ca1(1, adapter);
-  daemon.register_control_agent(&ca0);
-  daemon.register_control_agent(&ca1);
-  std::vector<double> values{50.0};
-  const std::size_t recorded = daemon.on_suggested_action(3, 1, values);
+  daemon.register_control_agent(0, &ca0);
+  daemon.register_control_agent(0, &ca1);
+  const std::size_t recorded = daemon.route_suggested_action(3, 1);
   EXPECT_EQ(recorded, 1u);
   EXPECT_DOUBLE_EQ(values[0], 55.0);
   EXPECT_DOUBLE_EQ(adapter.current_parameters()[0], 55.0);
@@ -111,26 +112,24 @@ TEST_F(DaemonFixture, SuggestedActionAppliesAndBroadcasts) {
 
 TEST_F(DaemonFixture, NullActionRecordedNotBroadcast) {
   ControlAgent ca(0, adapter);
-  daemon.register_control_agent(&ca);
-  std::vector<double> values{50.0};
-  daemon.on_suggested_action(4, 0, values);
+  daemon.register_control_agent(0, &ca);
+  daemon.route_suggested_action(4, 0);
   EXPECT_EQ(*replay.action_at(4), 0u);
   EXPECT_EQ(ca.actions_applied(), 0u);
   EXPECT_EQ(daemon.actions_broadcast(), 0u);
 }
 
 TEST_F(DaemonFixture, VetoedActionDegradesToNull) {
-  daemon.action_checker().add_rule(
+  daemon.action_checker(0).add_rule(
       "knob <= 52", [](const std::vector<double>& v) { return v[0] <= 52.0; });
   ControlAgent ca(0, adapter);
-  daemon.register_control_agent(&ca);
-  std::vector<double> values{50.0};
-  const std::size_t recorded = daemon.on_suggested_action(5, 1, values);
+  daemon.register_control_agent(0, &ca);
+  const std::size_t recorded = daemon.route_suggested_action(5, 1);
   EXPECT_EQ(recorded, 0u);                   // vetoed -> NULL
   EXPECT_DOUBLE_EQ(values[0], 50.0);         // unchanged
   EXPECT_EQ(ca.actions_applied(), 0u);
   EXPECT_EQ(*replay.action_at(5), 0u);
-  EXPECT_EQ(daemon.action_checker().vetoed_actions(), 1u);
+  EXPECT_EQ(daemon.action_checker(0).vetoed_actions(), 1u);
 }
 
 TEST_F(DaemonFixture, ControlAgentAppliesDirectly) {

@@ -30,7 +30,7 @@ TEST(CapesSystem, WiresOneAgentPerNode) {
   sim::Simulator sim;
   MockAdapter adapter(4, 3);
   CapesSystem capes(sim, adapter, small_options());
-  EXPECT_EQ(capes.monitoring_agents().size(), 4u);
+  EXPECT_EQ(capes.domain(0).monitoring_agents().size(), 4u);
   EXPECT_EQ(capes.action_space().num_actions(), 3u);  // 1 param
 }
 

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -23,6 +25,7 @@
 #include "lustre/cluster.hpp"
 #include "net/endpoint.hpp"
 #include "net/socket.hpp"
+#include "util/frame.hpp"
 #include "workload/random_rw.hpp"
 
 namespace capes {
@@ -189,6 +192,215 @@ TEST(Distributed, CaptureFromDistributedRunReplaysIdentically) {
   EXPECT_EQ(report.total_train_steps, remote.train_steps);
   EXPECT_EQ(report.weights_fingerprint, remote.fingerprint);
   std::filesystem::remove_all(dir);
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Three clusters under one brain (random, fileserver and seqwrite
+/// domains, seed 3), recording a capture; tcp_port 0 = in-process sync.
+RunOutcome run_three_domains(std::uint16_t tcp_port,
+                             const std::string& capture_path,
+                             std::string* capture_bytes) {
+  auto builder = core::Experiment::builder()
+                     .workload("random:0.2")
+                     .add_cluster("fileserver")
+                     .add_cluster("seqwrite")
+                     .seed(3)
+                     .train_ticks(60)
+                     .eval_ticks(30)
+                     .capture(capture_path);
+  if (tcp_port != 0) {
+    builder.transport("tcp:host=127.0.0.1,port=" + std::to_string(tcp_port));
+  }
+  std::string error;
+  auto exp = builder.build(&error);
+  RunOutcome out;
+  if (exp == nullptr) {
+    ADD_FAILURE() << error;
+    return out;
+  }
+  const auto training = exp->run_training();
+  const auto baseline = exp->run_baseline();
+  const auto tuned = exp->run_tuned();
+  out.training_csv = core::run_result_csv(training.result);
+  out.baseline_csv = core::run_result_csv(baseline.result);
+  out.tuned_csv = core::run_result_csv(tuned.result);
+  out.messages_dropped = training.result.messages_dropped +
+                         baseline.result.messages_dropped +
+                         tuned.result.messages_dropped;
+  out.fingerprint = exp->system().training_fingerprint();
+  out.train_steps = exp->system().total_train_steps();
+  EXPECT_TRUE(exp->system().capture_writer()->close());
+  *capture_bytes = read_bytes(capture_path);
+  return out;
+}
+
+TEST(Distributed, ThreeDomainTcpMatchesSyncIncludingCapture) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("capes_dist3_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  std::string local_capture;
+  const RunOutcome local =
+      run_three_domains(0, (dir / "sync.cap").string(), &local_capture);
+  ASSERT_GT(local.train_steps, 0u);
+
+  ServiceThread service;
+  ASSERT_TRUE(service.start());
+  std::string remote_capture;
+  const RunOutcome remote = run_three_domains(
+      service.port(), (dir / "tcp.cap").string(), &remote_capture);
+  const auto report = service.join();
+  std::filesystem::remove_all(dir);
+
+  ASSERT_TRUE(report.hello_ok) << report.error;
+  EXPECT_EQ(report.num_domains, 3u);
+  EXPECT_GT(report.actions_broadcast, 0u);
+  EXPECT_EQ(remote.messages_dropped, 0u);
+  // Actions routed across three slices on the daemon side reach the
+  // right domains: same weights, same steps, same per-tick phases, and a
+  // byte-identical agent-side capture.
+  EXPECT_EQ(remote.fingerprint, local.fingerprint);
+  EXPECT_EQ(remote.train_steps, local.train_steps);
+  EXPECT_EQ(remote.training_csv, local.training_csv);
+  EXPECT_EQ(remote.baseline_csv, local.baseline_csv);
+  EXPECT_EQ(remote.tuned_csv, local.tuned_csv);
+  ASSERT_FALSE(local_capture.empty());
+  EXPECT_TRUE(remote_capture == local_capture)
+      << "captures differ: " << remote_capture.size() << " vs "
+      << local_capture.size() << " bytes";
+}
+
+/// A scripted capes_daemond: acks the Hello, answers every tick barrier
+/// with `broadcast` as domain 0's kBroadcast payload followed by an
+/// all-zero kFrameActionsDone, acks phase ends, and stops at Bye.
+class FakeDaemon {
+ public:
+  explicit FakeDaemon(std::vector<std::uint8_t> broadcast)
+      : broadcast_(std::move(broadcast)) {}
+
+  bool start() {
+    std::string error;
+    listen_fd_ = net::tcp_listen("127.0.0.1", 0, &error);
+    if (listen_fd_ < 0) {
+      ADD_FAILURE() << "tcp_listen: " << error;
+      return false;
+    }
+    port_ = net::local_port(listen_fd_);
+    thread_ = std::thread([this] { run(); });
+    return true;
+  }
+
+  std::uint16_t port() const { return port_; }
+  void join() {
+    if (thread_.joinable()) thread_.join();
+  }
+
+ private:
+  void run() {
+    std::string error;
+    const int fd = net::accept_connection(listen_fd_, 10000, &error);
+    net::close_socket(listen_fd_);
+    if (fd < 0) return;
+    net::Endpoint endpoint(fd, net::EndpointOptions{});
+    for (;;) {
+      net::InSlot* slot = endpoint.recv();
+      if (slot == nullptr) break;
+      const std::uint8_t type = slot->frame.type;
+      const std::int64_t tick = slot->frame.tick;
+      endpoint.recycle(slot);
+      if (type == core::kFrameHello) {
+        std::uint8_t ack[8] = {};
+        util::put_le32(ack, core::kWireProtoVersion);
+        endpoint.send(core::kFrameHelloAck, 0, 0, 0, ack, sizeof(ack));
+      } else if (type == core::kFrameTickDone) {
+        endpoint.send(core::frame_type(capture::RecordType::kBroadcast), tick,
+                      core::kActionTopicBase, 0, broadcast_.data(),
+                      broadcast_.size());
+        const std::uint8_t done[20] = {};
+        endpoint.send(core::kFrameActionsDone, tick, 0, 0, done, sizeof(done));
+      } else if (type == core::frame_type(capture::RecordType::kPhaseEnd)) {
+        const std::uint8_t ack[12] = {};
+        endpoint.send(core::kFramePhaseEndAck, tick, 0, 0, ack, sizeof(ack));
+      } else if (type == core::kFrameBye) {
+        break;
+      }
+    }
+    endpoint.close();
+  }
+
+  std::vector<std::uint8_t> broadcast_;
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::thread thread_;
+};
+
+TEST(Distributed, ShortBroadcastIsDroppedAndCounted) {
+  // One value where the cluster tunes two parameters: applied, it would
+  // shrink the domain's vector and the cluster's setter would read past
+  // its end.
+  std::vector<std::uint8_t> short_broadcast(8);
+  util::put_le_f64(short_broadcast.data(), 1.0);
+  FakeDaemon daemon(short_broadcast);
+  ASSERT_TRUE(daemon.start());
+  {
+    auto preset = distributed_preset();
+    preset.capes.transport.kind = bus::TransportKind::kTcp;
+    preset.capes.transport.tcp_host = "127.0.0.1";
+    preset.capes.transport.tcp_port = daemon.port();
+    sim::Simulator sim;
+    lustre::Cluster cluster(sim, preset.cluster);
+    core::CapesSystem capes(sim, cluster, preset.capes);
+    const std::vector<double> before = capes.parameter_values();
+    ASSERT_EQ(before.size(), 2u);
+
+    const auto result = capes.run_training(3);
+    EXPECT_EQ(capes.parameter_values(), before);
+    EXPECT_GE(result.messages_dropped, 1u);
+    EXPECT_GE(capes.brain_client()->stats().dropped, 1u);
+  }
+  daemon.join();
+}
+
+TEST(Distributed, HelloWithNonContiguousSlicesIsRejected) {
+  std::string error;
+  const int listen_fd = net::tcp_listen("127.0.0.1", 0, &error);
+  ASSERT_GE(listen_fd, 0) << error;
+  const std::uint16_t port = net::local_port(listen_fd);
+  const int client_fd = net::tcp_connect("127.0.0.1", port, 5000, &error);
+  ASSERT_GE(client_fd, 0) << error;
+  const int server_fd = net::accept_connection(listen_fd, 5000, &error);
+  ASSERT_GE(server_fd, 0) << error;
+  net::close_socket(listen_fd);
+
+  // Two 2-parameter domains: 1 + 4 + 4 = 9 actions, as the meta says,
+  // but the second slice claims to start at 9 instead of 5.
+  core::HelloPayload hello;
+  hello.meta.num_nodes = 2;
+  hello.meta.pis_per_node = 4;
+  hello.meta.num_actions = 9;
+  const std::vector<rl::TunableParameter> params = {
+      {"a", 0.0, 10.0, 1.0, 5.0}, {"b", 0.0, 10.0, 1.0, 5.0}};
+  hello.domains = {{1, params}, {9, params}};
+  const std::vector<std::uint8_t> blob = core::encode_hello(hello);
+
+  {
+    // Send, then hang up (the close lingers until the Hello is flushed):
+    // serve() must end at the Hello either way, never wait for a tick.
+    net::Endpoint client(client_fd, net::EndpointOptions{});
+    ASSERT_TRUE(
+        client.send(core::kFrameHello, 0, 0, 0, blob.data(), blob.size()));
+    client.close();
+  }
+  net::Endpoint server(server_fd, net::EndpointOptions{});
+  core::BrainService service;
+  const auto report = service.serve(server);
+  EXPECT_FALSE(report.hello_ok);
+  EXPECT_FALSE(report.error.empty());
+  EXPECT_EQ(report.ticks, 0);
+  server.close();
 }
 
 TEST(Distributed, DaemonDeathMidPhaseDoesNotHangTheAgent) {

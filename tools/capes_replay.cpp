@@ -1,5 +1,5 @@
 // capes_replay — feed a flight-recorder capture (capes_run --capture=)
-// back into a fresh InterfaceDaemon + DrlEngine, offline.
+// back into a fresh core::LocalBrain (Interface Daemon + DRL Engine), offline.
 //
 // Three uses: train-from-trace (the replayed PI stream drives real
 // train_ticks, at --speed=realtime|fast|max), deterministic incident

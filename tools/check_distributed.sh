@@ -5,10 +5,12 @@
 #   check_distributed.sh <capes_daemond> <capes_agentd> <capes_run> <workdir>
 #
 # 1. Equivalence: launch capes_daemond on an ephemeral loopback port,
-#    drive a short train/baseline/tuned workflow through capes_agentd,
-#    and require the training fingerprint AND the per-phase CSVs to be
-#    byte-identical to an in-process `capes_run --transport=sync` run at
-#    the same seed (the tcp: wire must be a transparent brain extension).
+#    drive a short three-cluster train/baseline/tuned workflow through
+#    capes_agentd, and require the training fingerprint, the per-phase
+#    CSVs AND the flight-recorder capture to be byte-identical to an
+#    in-process `capes_run --transport=sync` run at the same seed (the
+#    tcp: wire must be a transparent brain extension, routing each action
+#    to the right one of several domains).
 # 2. Robustness: kill -9 the agent mid-run and require the daemon to
 #    exit on its own (link death must never hang it).
 set -euo pipefail
@@ -19,7 +21,8 @@ AGENTD="$(readlink -f "$2")"
 CAPES_RUN="$(readlink -f "$3")"
 WORK="$4"
 
-RUN_ARGS="--workload=random:0.2 --train-ticks=40 --eval-ticks=30 --seed=1"
+RUN_ARGS="--workload=random:0.2 --workload=fileserver --workload=seqwrite \
+  --train-ticks=40 --eval-ticks=30 --seed=1"
 
 rm -rf "$WORK"
 mkdir -p "$WORK"
@@ -46,12 +49,14 @@ DAEMON_PID=$!
 PORT=$(wait_for_port daemon.log)
 
 # shellcheck disable=SC2086
-"$AGENTD" --daemon=127.0.0.1:"$PORT" $RUN_ARGS --csv=tcp | tee agent.log
+"$AGENTD" --daemon=127.0.0.1:"$PORT" $RUN_ARGS --csv=tcp --capture=tcp.cap \
+  | tee agent.log
 wait "$DAEMON_PID"
 cat daemon.log
 
 # shellcheck disable=SC2086
-"$CAPES_RUN" --transport=sync $RUN_ARGS --csv=sync | tee sync.log
+"$CAPES_RUN" --transport=sync $RUN_ARGS --csv=sync --capture=sync.cap \
+  | tee sync.log
 
 TCP_FP=$(grep "training fingerprint" agent.log)
 SYNC_FP=$(grep "training fingerprint" sync.log)
@@ -69,6 +74,10 @@ for phase in training baseline tuned; do
     exit 1
   }
 done
+cmp tcp.cap sync.cap || {
+  echo "FAIL: agent-side capture differs from the in-process sync capture" >&2
+  exit 1
+}
 if ! grep -q "control network (tcp): 0 messages dropped" agent.log; then
   echo "FAIL: loopback run reported message loss" >&2
   exit 1
