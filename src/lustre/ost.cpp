@@ -71,14 +71,15 @@ void Ost::on_request(const RpcRequest& req) {
 void Ost::metadata_dispatch() {
   if (metadata_busy_ || metadata_queue_.empty()) return;
   metadata_busy_ = true;
-  MetaPending p = std::move(metadata_queue_.front());
+  metadata_in_service_ = metadata_queue_.front();
   metadata_queue_.pop_front();
   double service = static_cast<double>(opts_.metadata_service_us);
   service *= 1.0 + rng_.uniform(-opts_.metadata_noise, opts_.metadata_noise);
   sim_.schedule_in(std::max<sim::TimeUs>(1, static_cast<sim::TimeUs>(service)),
-                   [this, p = std::move(p)] {
+                   [this] {
                      metadata_busy_ = false;
                      ++metadata_served_;
+                     const MetaPending& p = metadata_in_service_;
                      send_reply(p.req, sim_.now() - p.enqueue_time);
                      metadata_dispatch();
                    });
@@ -101,9 +102,9 @@ void Ost::send_reply(const RpcRequest& req, sim::TimeUs process_time) {
   // Delivery is routed back through the cluster's dispatch table; the
   // cluster wires this callback at construction time.
   if (deliver_reply_) {
-    auto cb = deliver_reply_;
     const std::size_t client = req.client;
-    net_.send(node_, client, wire_bytes, [cb, client, reply] { cb(client, reply); });
+    net_.send(node_, client, wire_bytes,
+              [this, client, reply] { deliver_reply_(client, reply); });
   }
 }
 

@@ -66,10 +66,13 @@ class Ost {
 
   struct MetaPending {
     RpcRequest req;
-    sim::TimeUs enqueue_time;
+    sim::TimeUs enqueue_time = 0;
   };
   std::deque<MetaPending> metadata_queue_;
   bool metadata_busy_ = false;
+  /// The one metadata op in service while metadata_busy_; kept here so
+  /// that its completion event captures only `this`.
+  MetaPending metadata_in_service_;
 
   ReplyDelivery deliver_reply_;
   std::uint64_t served_ = 0;

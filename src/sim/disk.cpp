@@ -67,28 +67,32 @@ void Disk::maybe_dispatch() {
       (write_queue_.empty() || consecutive_reads_ < opts_.max_consecutive_reads);
   consecutive_reads_ = take_read ? consecutive_reads_ + 1 : 0;
   auto& q = take_read ? read_queue_ : write_queue_;
-  Pending p = std::move(q.front());
+  in_service_ = std::move(q.front());
   q.pop_front();
 
-  const TimeUs service = service_time(p.req);
-  last_object_ = p.req.object_id;
-  last_end_offset_ = p.req.offset + p.req.bytes;
+  const TimeUs service = service_time(in_service_.req);
+  last_object_ = in_service_.req.object_id;
+  last_end_offset_ = in_service_.req.offset + in_service_.req.bytes;
+  sim_.schedule_in(service, [this, service] { complete(service); });
+}
 
-  sim_.schedule_in(service, [this, p = std::move(p), service]() mutable {
-    busy_ = false;
-    busy_us_ += service;
-    ++completed_ops_;
-    if (p.req.is_write) {
-      bytes_written_ += p.req.bytes;
-    } else {
-      bytes_read_ += p.req.bytes;
-    }
-    const TimeUs pt = sim_.now() - p.enqueue_time;
-    last_pt_ = pt;
-    if (min_pt_ == 0 || pt < min_pt_) min_pt_ = pt;
-    if (p.req.done) p.req.done(pt);
-    maybe_dispatch();
-  });
+void Disk::complete(TimeUs service) {
+  // Taken out first: the completion callback may enqueue, and so
+  // dispatch, the next request.
+  const Pending p = std::move(in_service_);
+  busy_ = false;
+  busy_us_ += service;
+  ++completed_ops_;
+  if (p.req.is_write) {
+    bytes_written_ += p.req.bytes;
+  } else {
+    bytes_read_ += p.req.bytes;
+  }
+  const TimeUs pt = sim_.now() - p.enqueue_time;
+  last_pt_ = pt;
+  if (min_pt_ == 0 || pt < min_pt_) min_pt_ = pt;
+  if (p.req.done) p.req.done(pt);
+  maybe_dispatch();
 }
 
 }  // namespace capes::sim

@@ -95,10 +95,12 @@ class Disk {
  private:
   struct Pending {
     DiskRequest req;
-    TimeUs enqueue_time;
+    TimeUs enqueue_time = 0;
   };
 
   void maybe_dispatch();
+  /// Completion of the request in service (the event maybe_dispatch arms).
+  void complete(TimeUs service);
   TimeUs service_time(const DiskRequest& req);
 
   Simulator& sim_;
@@ -108,6 +110,9 @@ class Disk {
   std::deque<Pending> write_queue_;
   std::size_t consecutive_reads_ = 0;
   bool busy_ = false;
+  /// The one request in service while busy_; kept here so that its
+  /// completion event captures only `this` and the service time.
+  Pending in_service_;
   double slow_factor_ = 1.0;
 
   std::uint64_t last_object_ = ~0ULL;

@@ -1,40 +1,139 @@
 #include "sim/event_queue.hpp"
 
-#include <memory>
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 
 namespace capes::sim {
 
+namespace {
+
+[[noreturn]] void die(const char* message) {
+  std::fprintf(stderr, "%s\n", message);
+  std::abort();
+}
+
+}  // namespace
+
 thread_local EventQueue* EventQueue::current_ = nullptr;
 
-void EventQueue::schedule_at(TimeUs t, std::function<void()> fn) {
-  schedule_at_tagged(t, std::move(fn), resolve_tag(0));
+// ---- SlotPool ----------------------------------------------------------------
+
+SlotPool::SlotPool()
+    : chunks_(std::make_unique<std::unique_ptr<Chunk>[]>(kMaxChunks)) {}
+
+std::uint32_t SlotPool::grow(std::uint32_t n) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (n > kMaxSlots - size_) {
+    die("sim::SlotPool: more than 2^24 event slots; the slot field of the "
+        "event key is full");
+  }
+  const std::uint32_t first = size_;
+  size_ += n;
+  for (std::uint32_t c = first >> kChunkBits; c <= (size_ - 1) >> kChunkBits;
+       ++c) {
+    // Default-initialised, not value-initialised: no page is touched
+    // before its slots are used.
+    if (!chunks_[c]) chunks_[c].reset(new Chunk);
+  }
+  return first;
 }
 
-void EventQueue::schedule_in(TimeUs delay, std::function<void()> fn) {
-  schedule_at(now_ + (delay < 0 ? 0 : delay), std::move(fn));
+std::size_t SlotPool::size() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return size_;
 }
 
-void EventQueue::schedule_at_tagged(TimeUs t, std::function<void()> fn,
-                                    std::uint32_t domain) {
-  if (t < now_) t = now_;
-  queue_.push(Event{t, next_seq_++, domain, std::move(fn)});
+// ---- EventQueue --------------------------------------------------------------
+
+EventQueue::EventQueue()
+    : own_pool_(std::make_unique<SlotPool>()), pool_(own_pool_.get()) {}
+
+EventQueue::EventQueue(SlotPool& pool) : pool_(&pool) {}
+
+EventQueue::~EventQueue() {
+  for (const Key& k : heap_) pool_->callback(slot_of(k)).~Callback();
 }
 
-void EventQueue::schedule_in_tagged(TimeUs delay, std::function<void()> fn,
-                                    std::uint32_t domain) {
-  schedule_at_tagged(now_ + (delay < 0 ? 0 : delay), std::move(fn), domain);
+std::uint32_t EventQueue::acquire_slot() {
+  if (free_head_ != kNoSlot) {
+    const std::uint32_t slot = free_head_;
+    free_head_ = pool_->tag(slot);
+    return slot;
+  }
+  if (fresh_next_ == fresh_end_) {
+    fresh_next_ = pool_->grow(kGrowBatch);
+    fresh_end_ = fresh_next_ + kGrowBatch;
+  }
+  return fresh_next_++;
+}
+
+void EventQueue::push(TimeUs t, Callback&& fn, std::uint32_t domain) {
+  const std::uint32_t slot = acquire_slot();
+  ::new (pool_->storage(slot)) Callback(std::move(fn));
+  pool_->tag(slot) = domain;
+  push_key(t, slot);
+}
+
+void EventQueue::push_key(TimeUs t, std::uint32_t slot) {
+  if (next_seq_ > kMaxSeq) {
+    die("sim::EventQueue: 2^40 events scheduled on one queue; the sequence "
+        "field of the event key is full");
+  }
+  const Key key{t < now_ ? now_ : t, next_seq_++ << SlotPool::kSlotBits | slot};
+  // Sift up from a new leaf: parents that fire later move down.
+  std::size_t hole = heap_.size();
+  heap_.push_back(key);
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / 4;
+    if (!before(key, heap_[parent])) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = key;
+}
+
+void EventQueue::sift_down(std::size_t hole, Key key) {
+  const std::size_t n = heap_.size();
+  for (;;) {
+    const std::size_t first = 4 * hole + 1;
+    if (first >= n) break;
+    const std::size_t last = std::min(first + 4, n);
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < last; ++c) {
+      if (before(heap_[c], heap_[best])) best = c;
+    }
+    if (!before(heap_[best], key)) break;
+    heap_[hole] = heap_[best];
+    hole = best;
+  }
+  heap_[hole] = key;
+}
+
+void EventQueue::fire_next() {
+  const Key top = heap_[0];
+  const Key last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) sift_down(0, last);
+
+  const std::uint32_t slot = slot_of(top);
+  now_ = top.time;
+  executing_domain_ = pool_->tag(slot);
+  count_executed(executing_domain_);
+  // The slot cannot move or be reused while its callback runs: follow-ups
+  // take other slots, and growth never relocates existing ones.
+  Callback& fn = pool_->callback(slot);
+  fn();
+  fn.~Callback();
+  pool_->tag(slot) = free_head_;
+  free_head_ = slot;
 }
 
 std::size_t EventQueue::run_until(TimeUs t_end) {
   const ScopedCurrent scope(this);
   std::size_t ran = 0;
-  while (!queue_.empty() && queue_.top().time <= t_end) {
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
-    now_ = ev.time;
-    executing_domain_ = ev.domain;
-    count_executed(ev.domain);
-    ev.fn();
+  while (!heap_.empty() && heap_[0].time <= t_end) {
+    fire_next();
     ++ran;
   }
   executed_ += ran;
@@ -43,64 +142,34 @@ std::size_t EventQueue::run_until(TimeUs t_end) {
 }
 
 bool EventQueue::step() {
-  if (queue_.empty()) return false;
+  if (heap_.empty()) return false;
   const ScopedCurrent scope(this);
-  Event ev = std::move(const_cast<Event&>(queue_.top()));
-  queue_.pop();
-  now_ = ev.time;
-  executing_domain_ = ev.domain;
-  count_executed(ev.domain);
-  ev.fn();
+  fire_next();
   ++executed_;
   return true;
 }
 
-std::vector<EventQueue::ExtractedEvent> EventQueue::extract_domain(
-    std::uint32_t domain) {
-  std::vector<ExtractedEvent> out;
-  std::vector<Event> kept;
-  kept.reserve(queue_.size());
-  while (!queue_.empty()) {
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
-    if (ev.domain == domain) {
-      out.push_back(ExtractedEvent{ev.time, ev.domain, std::move(ev.fn)});
+void EventQueue::move_domain(std::uint32_t domain, EventQueue& to) {
+  if (to.pool_ != pool_) {
+    die("sim::EventQueue::move_domain: the queues do not share a slot pool");
+  }
+  if (&to == this) return;
+  std::vector<Key> moved;
+  std::size_t kept = 0;
+  for (const Key& k : heap_) {
+    if (pool_->tag(slot_of(k)) == domain) {
+      moved.push_back(k);
     } else {
-      kept.push_back(std::move(ev));
+      heap_[kept++] = k;
     }
   }
-  // Popping gave us (time, seq) order; fresh sequence numbers in that
-  // order preserve the survivors' relative firing order exactly.
-  for (Event& ev : kept) {
-    queue_.push(Event{ev.time, next_seq_++, ev.domain, std::move(ev.fn)});
-  }
-  return out;
-}
-
-void EventQueue::absorb(std::vector<ExtractedEvent> events) {
-  for (ExtractedEvent& ev : events) {
-    schedule_at_tagged(ev.time, std::move(ev.fn), ev.domain);
-  }
-}
-
-void EventQueue::schedule_periodic(
-    TimeUs t, TimeUs period, std::int64_t index,
-    std::shared_ptr<std::function<void(std::int64_t)>> fn,
-    std::uint32_t domain) {
-  schedule_at_tagged(
-      t,
-      [this, t, period, index, fn, domain] {
-        (*fn)(index);
-        schedule_periodic(t + period, period, index + 1, fn, domain);
-      },
-      domain);
-}
-
-void EventQueue::every(TimeUs start, TimeUs period,
-                       std::function<void(std::int64_t)> fn,
-                       std::uint32_t domain) {
-  auto shared = std::make_shared<std::function<void(std::int64_t)>>(std::move(fn));
-  schedule_periodic(start, period, 0, shared, resolve_tag(domain));
+  if (moved.empty()) return;
+  // The survivors keep their keys, hence their order; re-heapify them.
+  heap_.resize(kept);
+  for (std::size_t i = kept; i-- > 0;) sift_down(i, heap_[i]);
+  // Firing order, then fresh sequence numbers in the destination.
+  std::sort(moved.begin(), moved.end(), before);
+  for (const Key& k : moved) to.push_key(k.time, slot_of(k));
 }
 
 }  // namespace capes::sim

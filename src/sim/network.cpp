@@ -20,7 +20,7 @@ TimeUs Network::transfer_time(double bandwidth_mbs, std::uint64_t bytes) const {
 }
 
 void Network::send(NodeId src, NodeId dst, std::uint64_t bytes,
-                   std::function<void()> on_delivered) {
+                   Callback on_delivered) {
   assert(src < num_nodes() && dst < num_nodes());
   total_bytes_ += bytes;
   const TimeUs now = sim_.now();

@@ -8,7 +8,6 @@
 // deliberately kept in its evaluation (§4.2).
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -37,7 +36,7 @@ class Network {
   /// Send `bytes` from `src` to `dst`; `on_delivered` fires at the
   /// receiver when the last byte arrives.
   void send(NodeId src, NodeId dst, std::uint64_t bytes,
-            std::function<void()> on_delivered);
+            Callback on_delivered);
 
   /// Estimated current one-way latency to `dst` for a small message —
   /// base latency plus the receiver downlink's queuing backlog. This is

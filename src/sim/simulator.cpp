@@ -15,7 +15,7 @@ thread_local std::size_t Simulator::bound_shard_ = 0;
 thread_local std::uint32_t Simulator::bound_domain_ = 0;
 
 Simulator::Simulator() {
-  shards_.push_back(std::make_unique<EventQueue>());
+  shards_.push_back(std::make_unique<EventQueue>(pool_));
   shards_[0]->set_owner(this);
 }
 
@@ -30,7 +30,7 @@ void Simulator::configure_shards(std::size_t n) {
   shards_.clear();
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<EventQueue>());
+    shards_.push_back(std::make_unique<EventQueue>(pool_));
     shards_.back()->set_owner(this);
   }
 }
@@ -99,7 +99,7 @@ void Simulator::migrate_domain(std::uint32_t domain, std::size_t from,
     std::abort();
   }
   if (from == to) return;
-  shards_[to]->absorb(shards_[from]->extract_domain(domain));
+  shards_[from]->move_domain(domain, *shards_[to]);
 }
 
 void Simulator::domain_executed(std::vector<std::uint64_t>& out,

@@ -25,7 +25,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -129,7 +128,7 @@ class Simulator {
   /// From inside an event the follow-up inherits the event's shard and
   /// domain tag; outside, it lands in the bound shard tagged with the
   /// binding's domain (shard 0 / domain 0 when nothing is bound).
-  void schedule_at(TimeUs t, std::function<void()> fn) {
+  void schedule_at(TimeUs t, Callback fn) {
     EventQueue* executing = EventQueue::current();
     if (executing != nullptr && executing->owner() == this) {
       executing->schedule_at(t, std::move(fn));
@@ -139,7 +138,7 @@ class Simulator {
   }
 
   /// Schedule `fn` after `delay` microseconds.
-  void schedule_in(TimeUs delay, std::function<void()> fn) {
+  void schedule_in(TimeUs delay, Callback fn) {
     EventQueue* executing = EventQueue::current();
     if (executing != nullptr && executing->owner() == this) {
       executing->schedule_in(delay, std::move(fn));
@@ -170,20 +169,15 @@ class Simulator {
   std::size_t pending_events() const;
   std::size_t executed_events() const;
 
-  /// Register a callback invoked every `period` starting at `start`
-  /// (inclusive) until the simulation stops being run. Useful for sampling
-  /// ticks. The callback receives the tick index (0-based). Routed like
-  /// schedule_at: the periodic chain lives in one shard and carries the
-  /// routing domain tag.
-  void every(TimeUs start, TimeUs period, std::function<void(std::int64_t)> fn) {
-    route().every(start, period, std::move(fn), route_domain());
-  }
+  /// The slot pool every shard draws from (observability and tests).
+  const SlotPool& slot_pool() const { return pool_; }
 
   // ---- rate-aware placement support --------------------------------------
 
   /// Move every pending event tagged `domain` from shard `from` to shard
   /// `to`, preserving the domain's relative event order (the shard
-  /// planner re-attaching a domain at a phase boundary). Must be called
+  /// planner re-attaching a domain at a phase boundary). The shards share
+  /// one slot pool, so only the 16-byte keys move. Must be called
   /// between advances — aborts if any queue is executing an event on
   /// this thread — and with in-range shard indices.
   void migrate_domain(std::uint32_t domain, std::size_t from, std::size_t to);
@@ -233,6 +227,9 @@ class Simulator {
   static thread_local std::size_t bound_shard_;
   static thread_local std::uint32_t bound_domain_;
 
+  /// Event slots of every shard. Declared before shards_ so that it
+  /// outlives them (a queue destroys its pending callbacks in place).
+  SlotPool pool_;
   std::vector<std::unique_ptr<EventQueue>> shards_;
 
   // Filled by multi-shard run_until() for barrier observability; reused

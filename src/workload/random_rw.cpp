@@ -18,31 +18,32 @@ std::string RandomRw::name() const {
 }
 
 void RandomRw::start() {
+  const std::size_t first = threads_.size();
   for (std::size_t c = 0; c < cluster_.num_clients(); ++c) {
     for (std::size_t t = 0; t < opts_.threads_per_client; ++t) {
-      thread_loop(c, make_file_id(c, t), rng_.split());
+      threads_.push_back(IoThread{c, make_file_id(c, t), rng_.split()});
     }
   }
+  for (std::size_t i = first; i < threads_.size(); ++i) thread_loop(i);
 }
 
-void RandomRw::thread_loop(std::size_t client, std::uint64_t file_id,
-                           util::Rng rng) {
+void RandomRw::thread_loop(std::size_t idx) {
   if (!running_) return;
+  IoThread& th = threads_[idx];
   // Uniform random offset, aligned to the I/O size.
   const std::uint64_t slots = opts_.file_size / opts_.io_size;
-  const std::uint64_t offset = rng.uniform_u64(slots) * opts_.io_size;
-  const bool is_read = rng.chance(opts_.read_fraction);
+  const std::uint64_t offset = th.rng.uniform_u64(slots) * opts_.io_size;
+  const bool is_read = th.rng.chance(opts_.read_fraction);
 
-  auto next = [this, client, file_id, rng]() mutable {
+  auto next = [this, idx] {
     ++ops_;
-    cluster_.simulator().schedule_in(
-        opts_.op_overhead_us,
-        [this, client, file_id, rng] { thread_loop(client, file_id, rng); });
+    cluster_.simulator().schedule_in(opts_.op_overhead_us,
+                                     [this, idx] { thread_loop(idx); });
   };
   if (is_read) {
-    cluster_.client(client).read(file_id, offset, opts_.io_size, next);
+    cluster_.client(th.client).read(th.file_id, offset, opts_.io_size, next);
   } else {
-    cluster_.client(client).write(file_id, offset, opts_.io_size, next);
+    cluster_.client(th.client).write(th.file_id, offset, opts_.io_size, next);
   }
 }
 

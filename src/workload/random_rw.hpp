@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "lustre/cluster.hpp"
 #include "util/rng.hpp"
@@ -36,11 +37,21 @@ class RandomRw : public Workload {
   std::uint64_t ops_completed() const override { return ops_; }
 
  private:
-  void thread_loop(std::size_t client, std::uint64_t file_id, util::Rng rng);
+  /// One I/O thread: its client, private file and generator.
+  struct IoThread {
+    std::size_t client;
+    std::uint64_t file_id;
+    util::Rng rng;
+  };
+
+  /// Start thread `idx`'s next op; its completion re-enters after the
+  /// op overhead. Closures capture the index, not the thread's state.
+  void thread_loop(std::size_t idx);
 
   lustre::Cluster& cluster_;
   RandomRwOptions opts_;
   util::Rng rng_;
+  std::vector<IoThread> threads_;
   bool running_ = true;
   std::uint64_t ops_ = 0;
 };

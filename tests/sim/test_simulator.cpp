@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <utility>
 #include <vector>
 
+#include "util/alloc_hook.hpp"
 #include "util/thread_pool.hpp"
 
 namespace capes::sim {
@@ -117,21 +119,6 @@ TEST(Simulator, ExecutedEventCount) {
   for (int i = 0; i < 5; ++i) sim.schedule_at(i, [] {});
   sim.run_until(10);
   EXPECT_EQ(sim.executed_events(), 5u);
-}
-
-TEST(Simulator, EveryFiresPeriodically) {
-  Simulator sim;
-  std::vector<std::int64_t> indices;
-  std::vector<TimeUs> times;
-  sim.every(100, 50, [&](std::int64_t i) {
-    indices.push_back(i);
-    times.push_back(sim.now());
-  });
-  sim.run_until(300);
-  ASSERT_EQ(indices.size(), 5u);  // 100,150,200,250,300
-  EXPECT_EQ(indices, (std::vector<std::int64_t>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(times[0], 100);
-  EXPECT_EQ(times[4], 300);
 }
 
 TEST(Simulator, RunUntilReturnsEventCount) {
@@ -292,15 +279,16 @@ TEST(SimulatorShards, ParallelAdvanceMatchesSerialAdvance) {
     Simulator sim;
     sim.configure_shards(4);
     std::vector<std::vector<TimeUs>> trace(4);
+    // A periodic chain per shard with a shard-specific phase: each tick
+    // reschedules itself from inside event execution, so the whole chain
+    // lives in shard s.
+    std::function<void(std::size_t)> tick = [&](std::size_t s) {
+      trace[s].push_back(sim.now());
+      sim.schedule_in(40, [&tick, s] { tick(s); });
+    };
     for (std::size_t s = 0; s < 4; ++s) {
-      // A periodic chain per shard with a shard-specific phase; every()
-      // reschedules from inside event execution, so the whole chain
-      // lives in shard s.
       const auto binding = sim.bind_shard(s);
-      sim.every(10 + static_cast<TimeUs>(s), 40,
-                [&trace, &sim, s](std::int64_t) {
-                  trace[s].push_back(sim.now());
-                });
+      sim.schedule_at(10 + static_cast<TimeUs>(s), [&tick, s] { tick(s); });
     }
     std::size_t total = 0;
     for (int tick = 0; tick < 5; ++tick) {
@@ -314,6 +302,151 @@ TEST(SimulatorShards, ParallelAdvanceMatchesSerialAdvance) {
   EXPECT_EQ(serial.first, pooled.first);
   EXPECT_EQ(serial.second, pooled.second);
   EXPECT_GT(serial.first, 0u);
+}
+
+/// Per-domain firing records of a sharded run: (time, event id).
+using DomainTraces = std::vector<std::vector<std::pair<TimeUs, int>>>;
+
+/// A fan-out event: records itself, then schedules two children through
+/// the Simulator (routed to the executing shard, inheriting the tag)
+/// until `depth` runs out.
+void fan_out(Simulator* sim, DomainTraces* traces, std::uint32_t domain,
+             int id, int depth) {
+  (*traces)[domain].emplace_back(sim->now(), id);
+  if (depth == 0) return;
+  for (int child = 0; child < 2; ++child) {
+    const int next = id * 2 + child;
+    sim->schedule_in(5 + next % 11, [sim, traces, domain, next, depth] {
+      fan_out(sim, traces, domain, next, depth - 1);
+    });
+  }
+}
+
+/// `shards` shards, domain d bound to shard d, each seeded with fan-outs
+/// that grow its free list; advanced tick by tick, with every domain
+/// moved to another shard between ticks 2 and 3 and back after tick 5.
+DomainTraces run_fan_out_with_migrations(std::size_t shards,
+                                         util::ThreadPool* pool) {
+  Simulator sim;
+  sim.configure_shards(shards);
+  DomainTraces traces(shards);
+  for (std::size_t d = 0; d < shards; ++d) {
+    const auto domain = static_cast<std::uint32_t>(d);
+    const auto binding = sim.bind_shard(d, domain);
+    for (int root = 1; root <= 4; ++root) {
+      sim.schedule_at(root * 3 + static_cast<TimeUs>(d),
+                      [s = &sim, t = &traces, domain, root] {
+                        fan_out(s, t, domain, root, 9);
+                      });
+    }
+  }
+  for (int tick = 0; tick < 8; ++tick) {
+    if (tick == 3 || tick == 6) {
+      for (std::size_t d = 0; d < shards; ++d) {
+        const std::size_t home = d;
+        const std::size_t away = (d + 3) % shards;
+        sim.migrate_domain(static_cast<std::uint32_t>(d),
+                           tick == 3 ? home : away, tick == 3 ? away : home);
+      }
+    }
+    sim.run_for(20, pool);
+  }
+  return traces;
+}
+
+TEST(SimulatorShards, MigratedDomainsFireAsInAnUnmigratedTwin) {
+  // The twin never migrates; per-domain traces must not notice the moves.
+  auto run = [](bool migrate) {
+    Simulator sim;
+    sim.configure_shards(2);
+    DomainTraces traces(2);
+    for (std::uint32_t d = 0; d < 2; ++d) {
+      const auto binding = sim.bind_shard(0, d);
+      for (int root = 1; root <= 6; ++root) {
+        sim.schedule_at(root * 2, [s = &sim, t = &traces, d, root] {
+          fan_out(s, t, d, root, 6);
+        });
+      }
+    }
+    sim.run_for(25);
+    if (migrate) sim.migrate_domain(1, 0, 1);
+    sim.run_for(200);
+    return std::make_pair(traces, sim.shard(1).executed_events());
+  };
+  const auto twin = run(false);
+  const auto moved = run(true);
+  ASSERT_FALSE(twin.first[1].empty());
+  EXPECT_EQ(moved.first, twin.first);
+  EXPECT_EQ(twin.second, 0u);
+  EXPECT_GT(moved.second, 0u);  // domain 1 really ran in shard 1
+}
+
+TEST(SimulatorShards, MigrateRoundTripDoesNotGrowTheSlotPool) {
+  Simulator sim;
+  sim.configure_shards(2);
+  int fired = 0;
+  {
+    const auto binding = sim.bind_shard(0, 1);
+    for (int i = 0; i < 3000; ++i) sim.schedule_at(100 + i % 50, [&] { ++fired; });
+  }
+  const std::size_t slots = sim.slot_pool().size();
+  sim.migrate_domain(1, 0, 1);
+  sim.migrate_domain(1, 1, 0);
+  sim.migrate_domain(1, 0, 1);
+  EXPECT_EQ(sim.slot_pool().size(), slots);
+  EXPECT_EQ(sim.shard(1).pending_events(), 3000u);
+  sim.run_until(1000);
+  EXPECT_EQ(fired, 3000);
+  // The slots came home to shard 1's free list: refilling it grows nothing.
+  {
+    const auto binding = sim.bind_shard(1, 1);
+    for (int i = 0; i < 3000; ++i) sim.schedule_at(2000, [&] { ++fired; });
+  }
+  EXPECT_EQ(sim.slot_pool().size(), slots);
+  sim.run_until(3000);
+  EXPECT_EQ(fired, 6000);
+}
+
+TEST(SimulatorShards, ConcurrentPoolGrowthAndMigrationMatchSerialRun) {
+  // Eight shards on one slot pool grow their free lists at the same time
+  // on a worker pool, then trade domains; the result must equal the
+  // serial run (the thread-sanitizer build checks the shared pool).
+  util::ThreadPool pool(3);
+  const DomainTraces serial = run_fan_out_with_migrations(8, nullptr);
+  const DomainTraces pooled = run_fan_out_with_migrations(8, &pool);
+  for (const auto& trace : serial) ASSERT_GT(trace.size(), 1000u);
+  EXPECT_EQ(pooled, serial);
+}
+
+TEST(SimulatorShards, WarmScheduleAndRunAreAllocationFree) {
+  if (!util::allocation_hook_active()) {
+    GTEST_SKIP() << "counting allocator hook not linked in";
+  }
+  Simulator sim;
+  sim.configure_shards(4);
+  std::uint64_t ran = 0;
+  // A standing population per shard, like the armed RPC timeouts.
+  for (std::size_t s = 0; s < 4; ++s) {
+    const auto binding = sim.bind_shard(s, static_cast<std::uint32_t>(s));
+    for (int i = 0; i < 500; ++i) sim.schedule_at(1'000'000'000 + i, [&ran] { ++ran; });
+  }
+  // One cycle: an out-of-event schedule into a shard, whose event
+  // schedules a follow-up from inside (routed to its own shard).
+  auto cycle = [&](int i) {
+    const auto s = static_cast<std::size_t>(i % 4);
+    const auto binding = sim.bind_shard(s, static_cast<std::uint32_t>(s));
+    sim.schedule_in(1 + i % 5, [&ran, &sim] {
+      ++ran;
+      sim.schedule_in(2, [&ran] { ++ran; });
+    });
+    sim.run_for(4);
+  };
+  for (int i = 0; i < 1000; ++i) cycle(i);  // warm heaps, free lists, counters
+  const std::uint64_t ran_before = ran;
+  util::AllocTally tally;
+  for (int i = 0; i < 10'000; ++i) cycle(i);
+  EXPECT_EQ(tally.delta(), 0u);
+  EXPECT_GT(ran, ran_before);
 }
 
 }  // namespace
