@@ -11,15 +11,13 @@
 // PI decoders may desynchronize — the reader surfaces the count so tools
 // can warn).
 //
-// Record framing (the WAL idiom from src/waldb/wal.cpp): [u32 payload_len]
-// [u32 crc][u8 type][i64 tick][u64 topic][u64 sender][payload bytes], all
-// little-endian; crc covers type, tick, topic, sender and payload. A torn
-// or corrupt record is detected by its CRC and everything from it onward
-// is dropped during replay — validate-before-use, like the WAL.
+// Records are net frames (src/net/frame.hpp is the one codec of
+// [u32 payload_len][u32 crc][u8 type][i64 tick][u64 topic][u64 sender]
+// [payload]), with `type` a RecordType. A torn or corrupt record is
+// detected by its CRC or its length and everything from it onward is
+// dropped during replay — validate-before-use, like the WAL.
 
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace capes::capture {
 
@@ -28,11 +26,6 @@ inline constexpr std::uint32_t kWireVersion = 1;
 /// Byte offset of the dropped_records field inside the file header
 /// (after magic + version), patched in place by WireLogWriter::close.
 inline constexpr long kDroppedRecordsOffset = 8;
-/// Fixed bytes per record before the payload: len + crc + type + tick +
-/// topic + sender.
-inline constexpr std::size_t kRecordFixedBytes = 4 + 4 + 1 + 8 + 8 + 8;
-/// Bytes of the fixed part the CRC covers (type + tick + topic + sender).
-inline constexpr std::size_t kRecordCrcFixedBytes = 1 + 8 + 8 + 8;
 
 /// What one record captures. Values are the wire encoding — append only.
 enum class RecordType : std::uint8_t {
@@ -51,24 +44,5 @@ enum class RecordType : std::uint8_t {
   /// run's per-phase fault counters exactly.
   kFault = 8,
 };
-
-/// One decoded record. The payload's meaning depends on `type`; tick is
-/// the delivery tick (records appear in the file in delivery order, which
-/// is exactly the order the daemon consumed them in the live run).
-struct WireRecord {
-  RecordType type = RecordType::kStatus;
-  std::int64_t tick = 0;
-  std::uint64_t topic = 0;
-  std::uint64_t sender = 0;
-  std::vector<std::uint8_t> payload;
-};
-
-/// Encode the CRC-covered fixed fields of a record into `out` (at least
-/// kRecordCrcFixedBytes bytes), little-endian.
-void encode_record_fixed(const WireRecord& record, std::uint8_t* out);
-
-/// CRC32 over the fixed fields and payload of `record` (what the frame's
-/// crc field stores).
-std::uint32_t record_crc(const WireRecord& record);
 
 }  // namespace capes::capture

@@ -1,97 +1,112 @@
 #include "capture/wire_log_reader.hpp"
 
+#include <algorithm>
+
 #include "util/frame.hpp"
-#include "util/serialize.hpp"
 
 namespace capes::capture {
 
-using util::get_le32;
-using util::get_le64;
+namespace {
+
+/// File header: magic + version + dropped_records + meta_len.
+constexpr std::size_t kHeaderFixedBytes = 20;
+constexpr std::size_t kReadChunkBytes = 64 * 1024;
+
+}  // namespace
 
 bool WireLogReader::open(const std::string& path, std::string* error) {
-  auto bytes = util::read_file(path);
-  if (!bytes) {
-    if (error) *error = "cannot read capture file " + path;
+  *this = WireLogReader();
+  const auto fail = [&](const std::string& what) {
+    file_.reset();
+    if (error) *error = what + path;
     return false;
+  };
+  file_.reset(std::fopen(path.c_str(), "rb"));
+  const long size = file_ && std::fseek(file_.get(), 0, SEEK_END) == 0
+                        ? std::ftell(file_.get())
+                        : -1;
+  if (size < 0 || std::fseek(file_.get(), 0, SEEK_SET) != 0) {
+    return fail("cannot read capture file ");
   }
-  data_ = std::move(*bytes);
+  file_size_ = static_cast<std::uint64_t>(size);
 
-  // Header: magic + version + dropped_records + meta_len + meta.
-  if (data_.size() < 20) {
-    if (error) *error = "capture file too short for header: " + path;
-    return false;
+  std::uint8_t header[kHeaderFixedBytes];
+  if (std::fread(header, 1, sizeof(header), file_.get()) != sizeof(header)) {
+    return fail("capture file too short for header: ");
   }
-  if (get_le32(data_.data()) != kWireMagic) {
-    if (error) *error = "not a capture file (bad magic): " + path;
-    return false;
+  if (util::get_le32(header) != kWireMagic) {
+    return fail("not a capture file (bad magic): ");
   }
-  const std::uint32_t version = get_le32(data_.data() + 4);
+  const std::uint32_t version = util::get_le32(header + 4);
   if (version != kWireVersion) {
-    if (error) {
-      *error = "unsupported capture version " + std::to_string(version) +
-               ": " + path;
-    }
-    return false;
+    return fail("unsupported capture version " + std::to_string(version) +
+                ": ");
   }
-  stats_.dropped_records = get_le64(data_.data() + kDroppedRecordsOffset);
-  const std::uint32_t meta_len = get_le32(data_.data() + 16);
-  if (data_.size() - 20 < meta_len) {
-    if (error) *error = "capture meta truncated: " + path;
-    return false;
+  stats_.dropped_records = util::get_le64(header + kDroppedRecordsOffset);
+  const std::uint32_t meta_len = util::get_le32(header + 16);
+  // Checked against the file before anything is sized from it.
+  if (file_size_ - kHeaderFixedBytes < meta_len) {
+    return fail("capture meta truncated: ");
   }
-  meta_.assign(data_.begin() + 20, data_.begin() + 20 + meta_len);
-  cursor_ = 20 + meta_len;
+  meta_.resize(meta_len);
+  if (meta_len > 0 &&
+      std::fread(meta_.data(), 1, meta_len, file_.get()) != meta_len) {
+    return fail("cannot read capture meta: ");
+  }
+  cursor_ = kHeaderFixedBytes + meta_len;
+  chunk_.resize(kReadChunkBytes);
   return true;
 }
 
-bool WireLogReader::next(WireRecord* out) {
-  if (done_) return false;
-  const std::size_t remaining = data_.size() - cursor_;
-  if (remaining == 0) {
-    done_ = true;
-    return false;  // clean EOF
+bool WireLogReader::next(net::Frame* out) {
+  while (!done_ && file_) {
+    switch (parser_.next(out)) {
+      case net::ParseResult::kOk:
+        cursor_ += net::kFrameFixedBytes + out->payload.size();
+        ++stats_.valid_records;
+        return true;
+      case net::ParseResult::kCorrupt:
+        truncate_tail_here();
+        break;
+      case net::ParseResult::kNeedMore: {
+        const std::size_t got =
+            std::fread(chunk_.data(), 1, chunk_.size(), file_.get());
+        if (got > 0) {
+          parser_.feed(chunk_.data(), got);
+        } else if (parser_.buffered_bytes() == 0 &&
+                   !std::ferror(file_.get())) {
+          done_ = true;  // clean EOF
+        } else {
+          truncate_tail_here();
+        }
+        break;
+      }
+    }
   }
-  if (remaining < kRecordFixedBytes) {
-    truncate_tail_here();
-    return false;
-  }
-  const std::uint8_t* frame = data_.data() + cursor_;
-  const std::uint32_t payload_len = get_le32(frame);
-  if (remaining - kRecordFixedBytes < payload_len) {
-    truncate_tail_here();
-    return false;
-  }
-  const std::uint32_t stored_crc = get_le32(frame + 4);
-  out->type = static_cast<RecordType>(frame[8]);
-  out->tick = static_cast<std::int64_t>(get_le64(frame + 9));
-  out->topic = get_le64(frame + 17);
-  out->sender = get_le64(frame + 25);
-  const std::uint8_t* payload = frame + kRecordFixedBytes;
-  out->payload.assign(payload, payload + payload_len);
-  if (record_crc(*out) != stored_crc) {
-    out->payload.clear();  // validate-before-use: never surface bad bytes
-    truncate_tail_here();
-    return false;
-  }
-  cursor_ += kRecordFixedBytes + payload_len;
-  ++stats_.valid_records;
-  return true;
+  return false;
 }
 
 void WireLogReader::truncate_tail_here() {
   done_ = true;
   tail_truncated_ = true;
-  stats_.truncated_bytes = data_.size() - cursor_;
+  std::FILE* f = file_.get();
+  const std::uint64_t end = std::max(cursor_, file_size_);
+  stats_.truncated_bytes = end - cursor_;
   // Estimate how many frames the dead region held by walking its length
   // prefixes. The bytes are untrusted, so cap each stride at the region
   // end; a trailing partial frame counts as one.
-  std::size_t pos = cursor_;
-  while (pos < data_.size()) {
+  std::uint64_t pos = cursor_;
+  while (pos < end) {
     ++stats_.truncated_records;
-    if (data_.size() - pos < kRecordFixedBytes) break;
-    const std::uint32_t len = get_le32(data_.data() + pos);
-    const std::size_t stride = kRecordFixedBytes + len;
-    if (stride > data_.size() - pos) break;
+    std::uint8_t len_le[4];
+    if (end - pos < net::kFrameFixedBytes ||
+        std::fseek(f, static_cast<long>(pos), SEEK_SET) != 0 ||
+        std::fread(len_le, 1, sizeof(len_le), f) != sizeof(len_le)) {
+      break;
+    }
+    const std::uint64_t stride =
+        net::kFrameFixedBytes + std::uint64_t{util::get_le32(len_le)};
+    if (stride > end - pos) break;
     pos += stride;
   }
 }

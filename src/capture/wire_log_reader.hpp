@@ -4,13 +4,18 @@
 // checked before its payload is surfaced, and the first torn or corrupt
 // frame truncates the capture there — everything before it replays,
 // everything from it onward is counted and reported, never delivered.
+// Records go through net::FrameParser, fed from the file in fixed read
+// chunks, so the reader holds one chunk plus one frame whatever the
+// file's size, and no length from the file is used before it is checked.
 
-#include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "capture/wire_format.hpp"
+#include "net/frame.hpp"
 
 namespace capes::capture {
 
@@ -29,16 +34,17 @@ struct ReadStats {
 
 class WireLogReader {
  public:
-  /// Load and validate `path`'s header. On failure returns false and
+  /// Open `path` and validate its header. On failure returns false and
   /// describes the problem in `*error` (never partially usable).
   bool open(const std::string& path, std::string* error);
 
   /// The meta blob embedded at capture time (TraceMeta::decode it).
   const std::vector<std::uint8_t>& meta() const { return meta_; }
 
-  /// Read the next valid record. Returns false at end of capture — clean
-  /// EOF or torn tail alike; stats() tells them apart.
-  bool next(WireRecord* out);
+  /// Read the next valid record; `out->type` is a RecordType value.
+  /// Returns false at end of capture — clean EOF or torn tail alike;
+  /// stats() tells them apart.
+  bool next(net::Frame* out);
 
   /// True once next() has returned false because of a torn/corrupt tail
   /// (as opposed to a clean end of file).
@@ -47,11 +53,19 @@ class WireLogReader {
   const ReadStats& stats() const { return stats_; }
 
  private:
+  struct FileCloser {
+    void operator()(std::FILE* f) const { std::fclose(f); }
+  };
+
   void truncate_tail_here();
 
-  std::vector<std::uint8_t> data_;
+  std::unique_ptr<std::FILE, FileCloser> file_;
+  net::FrameParser parser_;
+  std::vector<std::uint8_t> chunk_;
   std::vector<std::uint8_t> meta_;
-  std::size_t cursor_ = 0;
+  std::uint64_t file_size_ = 0;  ///< as measured by open()
+  /// File offset of the first byte not yet returned as a valid record.
+  std::uint64_t cursor_ = 0;
   bool tail_truncated_ = false;
   bool done_ = false;
   ReadStats stats_;

@@ -8,14 +8,16 @@
 
 namespace capes::capture {
 
-using util::put_le32;
 using util::put_le64;
 
 WireLogWriter::WireLogWriter(WireLogWriterOptions opts,
                              const std::vector<std::uint8_t>& meta)
     : opts_(std::move(opts)),
-      free_ring_(opts_.ring_capacity),
-      work_ring_(opts_.ring_capacity) {
+      // Slots recycle in FIFO order: pre-size every payload buffer so a
+      // cold slot meeting a large record does not allocate mid-run.
+      queue_(opts_.ring_capacity, [this](net::Frame& slot) {
+        slot.payload.reserve(opts_.payload_reserve);
+      }) {
   file_ = std::fopen(opts_.path.c_str(), "wb");
   if (file_ == nullptr) {
     CAPES_LOG_ERROR("capture") << "cannot open capture file " << opts_.path;
@@ -42,18 +44,6 @@ WireLogWriter::WireLogWriter(WireLogWriterOptions opts,
   }
   bytes_written_.store(header.size(), std::memory_order_relaxed);
 
-  // Populate the slot pool. free_ring_ capacity was rounded up to a power
-  // of two, so every slot fits and the pushes cannot fail.
-  pool_.reserve(free_ring_.capacity());
-  for (std::size_t i = 0; i < free_ring_.capacity(); ++i) {
-    pool_.push_back(std::make_unique<Slot>());
-    // Pre-size every payload buffer: slots recycle in FIFO order, so
-    // without this a cold slot meeting a large record would still
-    // allocate mid-run. One record() payload above the reserve only ever
-    // grows that slot once.
-    pool_.back()->rec.payload.reserve(opts_.payload_reserve);
-    free_ring_.try_push(pool_.back().get());
-  }
   f64_scratch_.reserve(opts_.payload_reserve);
 
   opened_ = true;
@@ -65,30 +55,25 @@ WireLogWriter::~WireLogWriter() { close(); }
 void WireLogWriter::record(RecordType type, std::int64_t tick,
                            std::uint64_t topic, std::uint64_t sender,
                            const void* payload, std::size_t size) {
-  if (!opened_ || closed_) {
+  if (!opened_ || closed_ || size > net::kMaxFramePayload) {
     records_dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  Slot* slot = nullptr;
-  if (!free_ring_.try_pop(slot)) {
-    // Pool exhausted: the file sink is behind. Shed rather than stall the
-    // control thread; the reader learns the count from the header.
+  net::Frame* slot = queue_.try_acquire();
+  if (slot == nullptr) {
+    // Every slot in flight: the file sink is behind. Shed rather than
+    // stall the control thread; the reader learns the count from the
+    // header.
     records_dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  slot->rec.type = type;
-  slot->rec.tick = tick;
-  slot->rec.topic = topic;
-  slot->rec.sender = sender;
+  slot->type = static_cast<std::uint8_t>(type);
+  slot->tick = tick;
+  slot->topic = topic;
+  slot->sender = sender;
   const auto* bytes = static_cast<const std::uint8_t*>(payload);
-  slot->rec.payload.assign(bytes, bytes + size);  // reuses slot capacity
-  if (!work_ring_.try_push(std::move(slot))) {
-    // Unreachable while slots are conserved (both rings hold the whole
-    // pool), but never leak a slot if the invariant breaks.
-    free_ring_.try_push(std::move(slot));
-    records_dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
+  slot->payload.assign(bytes, bytes + size);  // reuses slot capacity
+  queue_.submit(slot);  // cannot fail: open, and the queue holds the pool
   records_logged_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -107,9 +92,8 @@ void WireLogWriter::record_f64s(RecordType type, std::int64_t tick,
 bool WireLogWriter::close() {
   if (closed_) return ok();
   closed_ = true;
-  work_ring_.close();
+  queue_.close();
   if (writer_thread_.joinable()) writer_thread_.join();
-  free_ring_.close();
   if (file_ != nullptr) {
     // Patch the final drop count into the header so the reader can tell
     // a lossy capture from a faithful one.
@@ -130,12 +114,12 @@ bool WireLogWriter::close() {
 
 void WireLogWriter::writer_loop() {
   std::size_t since_flush = 0;
-  Slot* slot = nullptr;
-  while (work_ring_.pop(slot)) {
-    if (!write_record(slot->rec)) {
+  frame_buf_.reserve(net::kFrameFixedBytes + opts_.payload_reserve);
+  while (net::Frame* slot = queue_.take()) {
+    if (!write_record(*slot)) {
       write_failed_.store(true, std::memory_order_release);
     }
-    free_ring_.try_push(std::move(slot));  // recycle; capacity is conserved
+    queue_.release(slot);
     if (opts_.flush_every_records != 0 &&
         ++since_flush >= opts_.flush_every_records) {
       std::fflush(file_);
@@ -145,22 +129,15 @@ void WireLogWriter::writer_loop() {
   std::fflush(file_);
 }
 
-bool WireLogWriter::write_record(const WireRecord& rec) {
+bool WireLogWriter::write_record(const net::Frame& rec) {
   if (write_failed_.load(std::memory_order_relaxed)) return false;
-  std::uint8_t fixed[kRecordFixedBytes];
-  put_le32(fixed, static_cast<std::uint32_t>(rec.payload.size()));
-  put_le32(fixed + 4, record_crc(rec));
-  encode_record_fixed(rec, fixed + 8);
-  if (std::fwrite(fixed, 1, sizeof(fixed), file_) != sizeof(fixed)) {
+  frame_buf_.clear();  // capacity retained across records
+  net::encode_frame(rec, &frame_buf_);
+  if (std::fwrite(frame_buf_.data(), 1, frame_buf_.size(), file_) !=
+      frame_buf_.size()) {
     return false;
   }
-  if (!rec.payload.empty() &&
-      std::fwrite(rec.payload.data(), 1, rec.payload.size(), file_) !=
-          rec.payload.size()) {
-    return false;
-  }
-  bytes_written_.fetch_add(sizeof(fixed) + rec.payload.size(),
-                           std::memory_order_relaxed);
+  bytes_written_.fetch_add(frame_buf_.size(), std::memory_order_relaxed);
   return true;
 }
 

@@ -1,14 +1,14 @@
 #pragma once
 // Asynchronous capture sink for the flight recorder. The control thread
 // calls record() at the daemon boundary; a dedicated writer thread frames
-// and appends records to the capture file. The hand-off mirrors the async
-// learner's slot-recycling scheme (src/core/drl_engine.cpp): a fixed pool
-// of record slots circulates between a free ring and a work ring, so the
-// warm tick path copies bytes into recycled capacity and performs no
-// allocation. The producer NEVER blocks — when the pool is exhausted the
-// record is shed and counted, and the final drop count is patched into
-// the file header on close so the reader can tell a lossy capture apart
-// from a faithful one.
+// each record with net::encode_frame (so the CRC is computed off the
+// control thread) and appends it to the capture file. Records cross
+// between the threads in a util::SlotQueue, so the warm tick path copies
+// bytes into recycled slot capacity and performs no allocation. The
+// producer NEVER blocks — when every slot is in flight, or the payload
+// exceeds net::kMaxFramePayload, the record is shed and counted, and the
+// final drop count is patched into the file header on close so the
+// reader can tell a lossy capture apart from a faithful one.
 //
 // Concurrency contract: record() is single-producer — all bus drains run
 // on the control thread, so every capture point already serializes there.
@@ -17,13 +17,13 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "capture/wire_format.hpp"
-#include "util/spsc_ring.hpp"
+#include "net/frame.hpp"
+#include "util/slot_queue.hpp"
 
 namespace capes::capture {
 
@@ -59,7 +59,8 @@ class WireLogWriter {
   }
 
   /// Enqueue one record (producer thread only). Never blocks: sheds and
-  /// counts the record when no slot is free.
+  /// counts the record when no slot is free or `size` exceeds
+  /// net::kMaxFramePayload (a record the reader would reject).
   void record(RecordType type, std::int64_t tick, std::uint64_t topic,
               std::uint64_t sender, const void* payload, std::size_t size);
 
@@ -78,29 +79,24 @@ class WireLogWriter {
     return bytes_written_.load(std::memory_order_relaxed);
   }
 
-  /// Drain the work ring, join the writer thread, patch the drop count
+  /// Drain the queued records, join the writer thread, patch the drop count
   /// into the header and close the file. Idempotent. Returns ok().
   bool close();
 
  private:
-  struct Slot {
-    WireRecord rec;
-  };
-
   void writer_loop();
-  bool write_record(const WireRecord& rec);
+  bool write_record(const net::Frame& rec);
 
   WireLogWriterOptions opts_;
   std::FILE* file_ = nullptr;
   bool opened_ = false;
   bool closed_ = false;
 
-  std::vector<std::unique_ptr<Slot>> pool_;
-  util::SpscRing<Slot*> free_ring_;  ///< writer thread -> control thread
-  util::SpscRing<Slot*> work_ring_;  ///< control thread -> writer thread
+  util::SlotQueue<net::Frame> queue_;  ///< control thread -> writer thread
   std::thread writer_thread_;
 
   std::vector<std::uint8_t> f64_scratch_;  ///< producer-side, recycled
+  std::vector<std::uint8_t> frame_buf_;    ///< writer-side, recycled
 
   std::atomic<std::uint64_t> records_logged_{0};
   std::atomic<std::uint64_t> records_dropped_{0};

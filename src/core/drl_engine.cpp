@@ -18,22 +18,17 @@ constexpr std::uint32_t kCheckpointVersion = 1;
 }  // namespace
 
 DrlEngine::DrlEngine(DrlEngineOptions opts, rl::ReplayDb& replay)
-    : opts_(opts), replay_(replay), epsilon_(opts.epsilon), rng_(opts.seed) {
+    : opts_(opts),
+      replay_(replay),
+      epsilon_(opts.epsilon),
+      rng_(opts.seed),
+      // One tick's train jobs plus a checkpoint job must always fit, so
+      // the producer never deadlocks waiting for its own consumer.
+      jobs_(std::max(opts.learner_queue_depth,
+                     opts.train_steps_per_tick + 1)) {
   opts_.dqn.observation_size = replay_.observation_size();
   dqn_ = std::make_unique<rl::Dqn>(opts_.dqn);
   obs_buffer_.resize(replay_.observation_size());
-  if (opts_.learner_mode == LearnerMode::kAsync) {
-    // One tick's train jobs plus a checkpoint job must always fit, so the
-    // producer never deadlocks waiting for its own consumer.
-    const std::size_t depth = std::max(opts_.learner_queue_depth,
-                                       opts_.train_steps_per_tick + 1);
-    work_ring_ = std::make_unique<util::SpscRing<TrainJob*>>(depth);
-    free_ring_ = std::make_unique<util::SpscRing<TrainJob*>>(depth + 1);
-    for (std::size_t i = 0; i < depth; ++i) {
-      jobs_.push_back(std::make_unique<TrainJob>());
-      free_ring_->push(jobs_.back().get());
-    }
-  }
 }
 
 DrlEngine::~DrlEngine() { stop_learner(); }
@@ -91,18 +86,20 @@ std::size_t DrlEngine::train_tick_async(util::ThreadPool* pool) {
   start_learner();
   std::size_t ran = 0;
   for (std::size_t i = 0; i < opts_.train_steps_per_tick; ++i) {
-    TrainJob* job = acquire_job();
+    // Waits only when sustained enqueue without a compute_action has
+    // every slot in flight.
+    TrainJob* job = jobs_.acquire();
     // Sampling happens here, on the control thread, with the same rng_
     // stream position sync mode would have — the learner only trains.
     util::AllocTally tally;
     if (!replay_.construct_minibatch_into(job->batch, opts_.minibatch_size,
                                           rng_, /*max_rounds=*/64, pool)) {
-      spare_job_ = job;
+      jobs_.give_back(job);
       break;
     }
     hot_path_allocs_ += tally.delta();
     job->kind = TrainJob::Kind::kTrain;
-    work_ring_->push(job);
+    jobs_.submit(job);
     enqueued_.fetch_add(1, std::memory_order_relaxed);
     ++ran;
   }
@@ -110,28 +107,13 @@ std::size_t DrlEngine::train_tick_async(util::ThreadPool* pool) {
       ++ticks_since_checkpoint_ >= opts_.checkpoint_ticks &&
       checkpoint_db_ != nullptr) {
     ticks_since_checkpoint_ = 0;
-    TrainJob* job = acquire_job();
+    TrainJob* job = jobs_.acquire();
     job->kind = TrainJob::Kind::kCheckpoint;
     job->training_ticks = training_ticks_;
-    work_ring_->push(job);
+    jobs_.submit(job);
     enqueued_.fetch_add(1, std::memory_order_relaxed);
   }
   return ran;
-}
-
-DrlEngine::TrainJob* DrlEngine::acquire_job() {
-  if (spare_job_ != nullptr) {
-    TrainJob* job = spare_job_;
-    spare_job_ = nullptr;
-    return job;
-  }
-  TrainJob* job = nullptr;
-  if (free_ring_->try_pop(job)) return job;
-  // Every slot is in flight; the ring is sized so this only happens under
-  // sustained enqueue without an intervening compute_action. Wait for the
-  // learner to recycle one.
-  free_ring_->pop(job);
-  return job;
 }
 
 void DrlEngine::sync_with_learner() const {
@@ -156,7 +138,7 @@ void DrlEngine::start_learner() {
 void DrlEngine::stop_learner() {
   if (!learner_.joinable()) return;
   sync_with_learner();
-  work_ring_->close();
+  jobs_.close();
   learner_.join();
   // Quiescent again: fold the snapshot away so sync-mode reads (tests,
   // reports) see the online network directly.
@@ -164,8 +146,7 @@ void DrlEngine::stop_learner() {
 }
 
 void DrlEngine::learner_loop() {
-  TrainJob* job = nullptr;
-  while (work_ring_->pop(job)) {
+  while (TrainJob* job = jobs_.take()) {
     if (job->kind == TrainJob::Kind::kTrain) {
       // Pool-less on purpose: training weights are pool-independent, and
       // a private thread must not contend for the control-path pool.
@@ -179,7 +160,7 @@ void DrlEngine::learner_loop() {
     // caught up (acquire) is guaranteed the snapshot that includes this
     // step.
     dqn_->publish_acting();
-    free_ring_->push(job);
+    jobs_.release(job);
     completed_.fetch_add(1, std::memory_order_release);
     completed_.notify_all();
   }

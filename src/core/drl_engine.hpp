@@ -6,9 +6,9 @@
 //
 // Training can run inline (kSync, the historical behaviour) or on a
 // dedicated learner thread (kAsync): train_tick packs minibatches into
-// pooled jobs and pushes them through a bounded SPSC ring; the learner
-// trains, publishes an immutable acting-weight snapshot, and recycles the
-// job. Minibatch sampling stays on the caller's thread in both modes, so
+// the slots of a util::SlotQueue and submits them; the learner trains,
+// publishes an immutable acting-weight snapshot, and releases the slot.
+// Minibatch sampling stays on the caller's thread in both modes, so
 // the RNG stream — and therefore every weight update — is bit-identical
 // between sync and async.
 
@@ -23,7 +23,7 @@
 #include "rl/epsilon.hpp"
 #include "rl/replay_db.hpp"
 #include "util/rng.hpp"
-#include "util/spsc_ring.hpp"
+#include "util/slot_queue.hpp"
 
 namespace capes::util {
 class ThreadPool;
@@ -54,9 +54,9 @@ struct DrlEngineOptions {
   /// optimizer moments, step counter) through the checkpoint store. 0
   /// disables checkpointing. Applies to both learner modes.
   std::size_t checkpoint_ticks = 0;
-  /// Capacity of the learner work/free rings (rounded up to a power of
-  /// two, and to at least train_steps_per_tick + 1 so one tick's batches
-  /// plus a checkpoint job always fit).
+  /// Learner job slots (rounded up to a power of two, and to at least
+  /// train_steps_per_tick + 1 so one tick's batches plus a checkpoint job
+  /// always fit).
   std::size_t learner_queue_depth = 8;
 };
 
@@ -157,7 +157,7 @@ class DrlEngine {
   std::uint64_t hot_path_allocations() const { return hot_path_allocs_; }
 
  private:
-  /// One unit of learner work, pooled and recycled through the free ring.
+  /// One unit of learner work, a recycled slot of jobs_.
   struct TrainJob {
     enum class Kind { kTrain, kCheckpoint };
     Kind kind = Kind::kTrain;
@@ -170,9 +170,6 @@ class DrlEngine {
   void start_learner();
   void stop_learner();
   void learner_loop();
-  /// Grab a recycled job slot (the main-thread spare or the free ring),
-  /// waiting on the learner if every slot is in flight.
-  TrainJob* acquire_job();
   std::size_t train_tick_sync(util::ThreadPool* pool);
   std::size_t train_tick_async(util::ThreadPool* pool);
   void maybe_checkpoint_sync();
@@ -193,13 +190,8 @@ class DrlEngine {
   std::vector<std::pair<std::size_t, float>> losses_;
 
   // --- async learner state ---------------------------------------------
-  std::vector<std::unique_ptr<TrainJob>> jobs_;
-  std::unique_ptr<util::SpscRing<TrainJob*>> work_ring_;  ///< main -> learner
-  std::unique_ptr<util::SpscRing<TrainJob*>> free_ring_;  ///< learner -> main
-  /// Main-thread-local recycled slot: an acquired job that was not
-  /// enqueued cannot go back on the free ring (main is its consumer, not
-  /// its producer), so it is parked here instead.
-  TrainJob* spare_job_ = nullptr;
+  /// Main thread -> learner; only the async learner uses it.
+  util::SlotQueue<TrainJob> jobs_;
   std::thread learner_;
   std::atomic<std::uint64_t> enqueued_{0};
   std::atomic<std::uint64_t> completed_{0};

@@ -95,9 +95,9 @@ TraceReplayReport TraceReplayer::run() {
       : opts_.speed == ReplaySpeed::kFast   ? meta_.sampling_tick_s / 20.0
                                             : 0.0;
 
-  capture::WireRecord rec;
+  net::Frame rec;
   while (reader_.next(&rec)) {
-    switch (rec.type) {
+    switch (static_cast<capture::RecordType>(rec.type)) {
       case capture::RecordType::kStatus:
         ++report.status_records;
         brain_->daemon().on_status_message(rec.payload);

@@ -30,31 +30,20 @@ void set_nonblocking_fd(int fd) {
 Endpoint::Endpoint(int fd, EndpointOptions opts)
     : opts_(opts),
       fd_(fd),
-      out_free_(opts.ring_capacity),
-      out_work_(opts.ring_capacity),
-      in_free_(opts.ring_capacity),
-      in_work_(opts.ring_capacity) {
+      out_(opts.ring_capacity,
+           [&opts](std::vector<std::uint8_t>& buf) {
+             buf.reserve(kFrameFixedBytes + opts.payload_reserve);
+           }),
+      in_(opts.ring_capacity, [&opts](InSlot& slot) {
+        slot.frame.payload.reserve(opts.payload_reserve);
+      }) {
   if (::pipe(wake_pipe_) != 0) {
     wake_pipe_[0] = wake_pipe_[1] = -1;
   } else {
     set_nonblocking_fd(wake_pipe_[0]);
     set_nonblocking_fd(wake_pipe_[1]);
   }
-  out_pool_.reserve(opts_.ring_capacity);
-  in_pool_.reserve(opts_.ring_capacity);
-  for (std::size_t i = 0; i < opts_.ring_capacity; ++i) {
-    auto out_slot = std::make_unique<OutSlot>();
-    out_slot->buf.reserve(kFrameFixedBytes + opts_.payload_reserve);
-    out_free_.try_push(out_slot.get());
-    out_pool_.push_back(std::move(out_slot));
-    auto in_slot = std::make_unique<InSlot>();
-    in_slot->frame.payload.reserve(opts_.payload_reserve);
-    in_free_.try_push(in_slot.get());
-    in_pool_.push_back(std::move(in_slot));
-  }
-  Frame heartbeat;
-  heartbeat.type = kHeartbeatFrameType;
-  encode_frame(heartbeat, &heartbeat_buf_);
+  encode_frame(kHeartbeatFrameType, 0, 0, 0, nullptr, 0, &heartbeat_buf_);
   read_buf_.resize(64 * 1024);
   io_thread_ = std::thread(&Endpoint::io_loop, this);
 }
@@ -64,42 +53,27 @@ Endpoint::~Endpoint() { close(); }
 bool Endpoint::send(std::uint8_t type, std::int64_t tick, std::uint64_t topic,
                     std::uint64_t sender, const std::uint8_t* payload,
                     std::size_t payload_size) {
-  if (closed_ || !alive()) {
+  if (closed_ || !alive() || payload_size > kMaxFramePayload) {
     send_dropped_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  OutSlot* slot = nullptr;
-  if (!out_free_.try_pop(slot)) {
+  std::vector<std::uint8_t>* buf = out_.try_acquire();
+  if (buf == nullptr) {
     // Every outbound slot is in flight toward a slow (or wedged) peer:
     // shed rather than stall the tick loop.
     send_dropped_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  slot->buf.clear();
-  encode_frame(type, tick, topic, sender, payload, payload_size, &slot->buf);
-  if (!out_work_.try_push(std::move(slot))) {
-    send_dropped_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
+  buf->clear();
+  encode_frame(type, tick, topic, sender, payload, payload_size, buf);
+  out_.submit(buf);  // cannot fail: out_ is never closed
   wake();
   return true;
 }
 
-InSlot* Endpoint::recv() {
-  InSlot* slot = nullptr;
-  if (!in_work_.pop(slot)) return nullptr;
-  return slot;
-}
-
-InSlot* Endpoint::try_recv() {
-  InSlot* slot = nullptr;
-  if (!in_work_.try_pop(slot)) return nullptr;
-  return slot;
-}
-
 void Endpoint::recycle(InSlot* slot) {
-  slot->frame.payload.clear();
-  if (in_free_.try_push(std::move(slot))) wake();
+  in_.release(slot);
+  wake();
 }
 
 void Endpoint::wake() {
@@ -112,7 +86,7 @@ void Endpoint::wake() {
 
 void Endpoint::mark_dead() {
   dead_.store(true, std::memory_order_release);
-  in_work_.close();  // recv() drains pending frames, then returns nullptr
+  in_.close();  // recv() drains pending frames, then returns nullptr
 }
 
 void Endpoint::close() {
@@ -132,11 +106,12 @@ void Endpoint::close() {
 bool Endpoint::flush_writes() {
   for (;;) {
     if (cur_out_ == nullptr && !cur_is_heartbeat_) {
-      if (!out_work_.try_pop(cur_out_)) return true;  // nothing pending
+      cur_out_ = out_.try_take();
+      if (cur_out_ == nullptr) return true;  // nothing pending
       cur_off_ = 0;
     }
     const std::vector<std::uint8_t>& buf =
-        cur_is_heartbeat_ ? heartbeat_buf_ : cur_out_->buf;
+        cur_is_heartbeat_ ? heartbeat_buf_ : *cur_out_;
     while (cur_off_ < buf.size()) {
       const ssize_t n = ::send(fd_, buf.data() + cur_off_,
                                buf.size() - cur_off_, MSG_NOSIGNAL);
@@ -156,8 +131,7 @@ bool Endpoint::flush_writes() {
       cur_is_heartbeat_ = false;
     } else {
       frames_sent_.fetch_add(1, std::memory_order_relaxed);
-      cur_out_->buf.clear();
-      out_free_.try_push(std::move(cur_out_));
+      out_.release(cur_out_);
       cur_out_ = nullptr;
     }
   }
@@ -165,22 +139,20 @@ bool Endpoint::flush_writes() {
 
 bool Endpoint::drain_parser() {
   for (;;) {
-    if (spare_in_ == nullptr && !in_free_.try_pop(spare_in_)) {
-      // Consumer holds every inbound slot: stop parsing (and reading) so
-      // TCP back-pressures the peer instead of buffering unboundedly.
-      in_stalled_ = true;
-      return true;
-    }
-    in_stalled_ = false;
-    const ParseResult r = parser_.next(&spare_in_->frame);
-    if (r == ParseResult::kNeedMore) return true;
-    if (r == ParseResult::kCorrupt) return false;
-    if (spare_in_->frame.type == kHeartbeatFrameType) {
-      continue;  // liveness only; reuse the slot for the next frame
+    InSlot* slot = in_.try_acquire();
+    // Consumer holds every inbound slot: stop parsing (and reading) so
+    // TCP back-pressures the peer instead of buffering unboundedly.
+    in_stalled_ = slot == nullptr;
+    if (in_stalled_) return true;
+    const ParseResult r = parser_.next(&slot->frame);
+    if (r != ParseResult::kOk || slot->frame.type == kHeartbeatFrameType) {
+      in_.give_back(slot);  // heartbeats are liveness only
+      if (r == ParseResult::kNeedMore) return true;
+      if (r == ParseResult::kCorrupt) return false;
+      continue;
     }
     frames_received_.fetch_add(1, std::memory_order_relaxed);
-    in_work_.try_push(std::move(spare_in_));  // capacity == pool size
-    spare_in_ = nullptr;
+    in_.submit(slot);
   }
 }
 
@@ -212,7 +184,7 @@ void Endpoint::io_loop() {
     fds[0].fd = fd_;
     fds[0].events = static_cast<short>(
         (in_stalled_ ? 0 : POLLIN) |
-        ((cur_out_ != nullptr || cur_is_heartbeat_ || !out_work_.empty())
+        ((cur_out_ != nullptr || cur_is_heartbeat_ || !out_.empty())
              ? POLLOUT
              : 0));
     fds[0].revents = 0;
@@ -234,7 +206,7 @@ void Endpoint::io_loop() {
     }
     if (!flush_writes()) break;
     if (opts_.heartbeat_ms > 0 && cur_out_ == nullptr && !cur_is_heartbeat_ &&
-        out_work_.empty() && ms_since(last_send_) >= opts_.heartbeat_ms) {
+        out_.empty() && ms_since(last_send_) >= opts_.heartbeat_ms) {
       cur_is_heartbeat_ = true;
       cur_off_ = 0;
       if (!flush_writes()) break;
@@ -250,7 +222,7 @@ void Endpoint::io_loop() {
     // polite disconnect is not a silent truncation.
     const Clock::time_point deadline =
         Clock::now() + std::chrono::milliseconds(100);
-    while ((cur_out_ != nullptr || cur_is_heartbeat_ || !out_work_.empty()) &&
+    while ((cur_out_ != nullptr || cur_is_heartbeat_ || !out_.empty()) &&
            Clock::now() < deadline) {
       struct pollfd pfd;
       pfd.fd = fd_;

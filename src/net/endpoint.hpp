@@ -1,31 +1,29 @@
 #pragma once
 // One connected peer: a nonblocking socket driven by a dedicated poll()
-// I/O thread, with two SPSC ring pairs between that thread and the
-// single control thread — the same slot-recycling scheme the capture
-// writer and async learner use, so the warm tick path neither allocates
+// I/O thread, with one util::SlotQueue per direction between that thread
+// and the single control thread, so the warm tick path neither allocates
 // nor blocks on a slow peer:
 //
 //   control thread                       I/O thread
-//   send(): out_free_ ─→ encode ─→ out_work_ ─→ write() to socket
+//   send(): acquire ─→ encode ─→ submit ─→ take ─→ write() ─→ release
 //           (no free slot ⇒ shed + count send_dropped, never block)
-//   recv(): in_work_ ─→ consume ─→ recycle() ─→ in_free_ ─→ parser fills
+//   recv(): take ─→ consume ─→ recycle() ─→ release ─→ acquire ─→ parse
 //
 // The I/O thread also owns liveness: it emits a heartbeat frame after
 // heartbeat_ms of send silence (keeping the link warm while the control
 // thread runs a long simulation step) and declares the peer dead after
-// idle_timeout_ms of receive silence or on EOF/error — closing in_work_
-// so a blocked recv() wakes with nullptr. Heartbeats never surface to
-// the consumer.
+// idle_timeout_ms of receive silence or on EOF/error — closing the
+// inbound queue so a blocked recv() wakes with nullptr. Heartbeats never
+// surface to the consumer.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "net/frame.hpp"
-#include "util/spsc_ring.hpp"
+#include "util/slot_queue.hpp"
 
 namespace capes::net {
 
@@ -60,18 +58,20 @@ class Endpoint {
   Endpoint& operator=(const Endpoint&) = delete;
 
   /// Queue one frame for transmission. Returns false — and counts the
-  /// frame in send_dropped() — when the link is dead or every outbound
-  /// slot is in flight. Never blocks, never allocates once warm.
+  /// frame in send_dropped() — when the link is dead, every outbound
+  /// slot is in flight, or `payload_size` exceeds kMaxFramePayload (a
+  /// frame the peer's parser would reject, killing the link). Never
+  /// blocks, never allocates once warm.
   bool send(std::uint8_t type, std::int64_t tick, std::uint64_t topic,
             std::uint64_t sender, const std::uint8_t* payload,
             std::size_t payload_size);
 
   /// Block until a frame arrives. nullptr means the peer is gone and the
   /// inbound queue is drained — the consumer's loop-exit condition.
-  InSlot* recv();
+  InSlot* recv() { return in_.take(); }
 
   /// Non-blocking recv (nullptr when nothing is pending).
-  InSlot* try_recv();
+  InSlot* try_recv() { return in_.try_take(); }
 
   /// Return a slot obtained from recv()/try_recv() to the inbound pool.
   void recycle(InSlot* slot);
@@ -102,10 +102,6 @@ class Endpoint {
   }
 
  private:
-  struct OutSlot {
-    std::vector<std::uint8_t> buf;  ///< one encoded frame
-  };
-
   void io_loop();
   void wake();          ///< nudge the poll() sleeper via the self-pipe
   void mark_dead();
@@ -117,13 +113,10 @@ class Endpoint {
   int fd_ = -1;
   int wake_pipe_[2] = {-1, -1};  ///< send() nudges the poll() sleeper
 
-  // Slot pools (stable addresses; rings carry raw pointers).
-  std::vector<std::unique_ptr<OutSlot>> out_pool_;
-  std::vector<std::unique_ptr<InSlot>> in_pool_;
-  util::SpscRing<OutSlot*> out_free_;  ///< I/O thread → control thread
-  util::SpscRing<OutSlot*> out_work_;  ///< control thread → I/O thread
-  util::SpscRing<InSlot*> in_free_;    ///< control thread → I/O thread
-  util::SpscRing<InSlot*> in_work_;    ///< I/O thread → control thread
+  /// Encoded frames, control thread → I/O thread.
+  util::SlotQueue<std::vector<std::uint8_t>> out_;
+  /// Parsed frames, I/O thread → control thread.
+  util::SlotQueue<InSlot> in_;
 
   std::atomic<bool> dead_{false};
   std::atomic<bool> stop_{false};
@@ -135,11 +128,10 @@ class Endpoint {
 
   // I/O-thread-private state.
   FrameParser parser_;
-  OutSlot* cur_out_ = nullptr;       ///< slot mid-write (partial send)
+  std::vector<std::uint8_t>* cur_out_ = nullptr;  ///< mid-write (partial send)
   std::size_t cur_off_ = 0;
   bool cur_is_heartbeat_ = false;
   std::vector<std::uint8_t> heartbeat_buf_;
-  InSlot* spare_in_ = nullptr;       ///< parse target awaiting a frame
   bool in_stalled_ = false;          ///< no free inbound slot: stop reading
   std::vector<std::uint8_t> read_buf_;
   std::chrono::steady_clock::time_point last_send_;

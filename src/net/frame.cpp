@@ -9,23 +9,29 @@ namespace capes::net {
 
 namespace {
 
-void encode_fixed(const Frame& frame, std::uint8_t* out) {
-  out[0] = frame.type;
-  util::put_le64(out + 1, static_cast<std::uint64_t>(frame.tick));
-  util::put_le64(out + 9, frame.topic);
-  util::put_le64(out + 17, frame.sender);
+/// The CRC-covered fixed fields (type, tick, topic, sender) into
+/// out[0, kFrameCrcFixedBytes).
+void encode_fixed(std::uint8_t type, std::int64_t tick, std::uint64_t topic,
+                  std::uint64_t sender, std::uint8_t* out) {
+  out[0] = type;
+  util::put_le64(out + 1, static_cast<std::uint64_t>(tick));
+  util::put_le64(out + 9, topic);
+  util::put_le64(out + 17, sender);
+}
+
+std::uint32_t crc_of(const std::uint8_t* fixed, const std::uint8_t* payload,
+                     std::size_t payload_size) {
+  const std::uint32_t crc = util::crc32(fixed, kFrameCrcFixedBytes);
+  return payload_size > 0 ? util::crc32_update(crc, payload, payload_size)
+                          : crc;
 }
 
 }  // namespace
 
 std::uint32_t frame_crc(const Frame& frame) {
   std::uint8_t fixed[kFrameCrcFixedBytes];
-  encode_fixed(frame, fixed);
-  std::uint32_t crc = util::crc32(fixed, sizeof(fixed));
-  if (!frame.payload.empty()) {
-    crc = util::crc32_update(crc, frame.payload.data(), frame.payload.size());
-  }
-  return crc;
+  encode_fixed(frame.type, frame.tick, frame.topic, frame.sender, fixed);
+  return crc_of(fixed, frame.payload.data(), frame.payload.size());
 }
 
 void encode_frame(const Frame& frame, std::vector<std::uint8_t>* out) {
@@ -39,18 +45,12 @@ void encode_frame(std::uint8_t type, std::int64_t tick, std::uint64_t topic,
   const std::size_t base = out->size();
   out->resize(base + kFrameFixedBytes + payload_size);
   std::uint8_t* p = out->data() + base;
-  std::uint8_t* fixed = p + 8;
-  fixed[0] = type;
-  util::put_le64(fixed + 1, static_cast<std::uint64_t>(tick));
-  util::put_le64(fixed + 9, topic);
-  util::put_le64(fixed + 17, sender);
-  std::uint32_t crc = util::crc32(fixed, kFrameCrcFixedBytes);
+  encode_fixed(type, tick, topic, sender, p + 8);
   if (payload_size > 0) {
     std::memcpy(p + kFrameFixedBytes, payload, payload_size);
-    crc = util::crc32_update(crc, payload, payload_size);
   }
   util::put_le32(p, static_cast<std::uint32_t>(payload_size));
-  util::put_le32(p + 4, crc);
+  util::put_le32(p + 4, crc_of(p + 8, payload, payload_size));
 }
 
 void FrameParser::feed(const std::uint8_t* data, std::size_t size) {
@@ -74,17 +74,17 @@ ParseResult FrameParser::next(Frame* out) {
     return ParseResult::kCorrupt;
   }
   if (avail < kFrameFixedBytes + payload_len) return ParseResult::kNeedMore;
-  const std::uint32_t stored_crc = util::get_le32(p + 4);
+  // Validate before use: *out is untouched unless the CRC matches.
+  const std::uint8_t* payload = p + kFrameFixedBytes;
+  if (crc_of(p + 8, payload, payload_len) != util::get_le32(p + 4)) {
+    corrupt_ = true;
+    return ParseResult::kCorrupt;
+  }
   out->type = p[8];
   out->tick = static_cast<std::int64_t>(util::get_le64(p + 9));
   out->topic = util::get_le64(p + 17);
   out->sender = util::get_le64(p + 25);
-  out->payload.assign(p + kFrameFixedBytes,
-                      p + kFrameFixedBytes + payload_len);
-  if (frame_crc(*out) != stored_crc) {
-    corrupt_ = true;
-    return ParseResult::kCorrupt;
-  }
+  out->payload.assign(payload, payload + payload_len);
   pos_ += kFrameFixedBytes + payload_len;
   return ParseResult::kOk;
 }

@@ -1,15 +1,15 @@
 #pragma once
 // capes::net — the tcp control-network wire format. One frame is one bus
-// message, byte-compatible with a flight-recorder record:
+// message, and the same bytes are one flight-recorder record:
 //
 //   [u32 payload_len][u32 crc][u8 type][i64 tick][u64 topic][u64 sender]
 //   [payload_len bytes]                                (all little-endian)
 //
-// The CRC covers the 25 fixed bytes from `type` onward plus the payload,
-// exactly like capture::record_crc — so a distributed run's capture file
-// and its socket stream share one framing implementation (util/frame.hpp
-// helpers + util::crc32), and traces recorded from a distributed run
-// replay through capes_replay unchanged.
+// The CRC covers the 25 fixed bytes from `type` onward plus the payload.
+// This file is the one codec of the layout: capture files store the same
+// frames (capture::WireLogWriter encodes, capture::WireLogReader parses,
+// both through here), so traces recorded from a distributed run replay
+// through capes_replay unchanged.
 //
 // Frame `type` values are owned by the protocol layer (core/remote_brain
 // reuses capture::RecordType values for the records it mirrors); net
@@ -59,11 +59,11 @@ enum class ParseResult {
   kCorrupt,   ///< CRC mismatch or insane length — the stream is dead
 };
 
-/// Incremental decoder for a TCP byte stream: feed() appends raw bytes,
-/// next() peels complete frames. Single-threaded (one parser per I/O
-/// thread). Corruption is sticky: TCP already guarantees integrity, so a
-/// bad CRC means a framing bug or a hostile peer, and the connection must
-/// die rather than resynchronize.
+/// Incremental decoder for a TCP stream or a capture file: feed() appends
+/// raw bytes, next() peels complete, CRC-checked frames. Single-threaded.
+/// Corruption is sticky: TCP already guarantees integrity, so a bad CRC
+/// means a framing bug or a hostile peer, and the connection must die
+/// rather than resynchronize; a capture file ends at its first bad frame.
 class FrameParser {
  public:
   void feed(const std::uint8_t* data, std::size_t size);

@@ -111,7 +111,7 @@ std::optional<std::vector<float>> BinaryReader::get_f32_vector() {
 
 bool BinaryReader::get_raw(void* dst, std::size_t size) {
   if (remaining() < size) return false;
-  std::memcpy(dst, data_ + pos_, size);
+  if (size > 0) std::memcpy(dst, data_ + pos_, size);  // dst may be null at 0
   pos_ += size;
   return true;
 }

@@ -1,9 +1,8 @@
 #pragma once
-// Bounded lock-free single-producer/single-consumer ring. The async
-// learner's work and recycle queues ride on two of these: the tick loop
-// pushes assembled minibatch jobs, the learner thread pops them, and a
-// second ring carries the spent slots back — so the steady-state hand-off
-// performs no locking and no allocation.
+// Bounded lock-free single-producer/single-consumer ring. util::SlotQueue
+// (slot_queue.hpp) rides on two of these — one carries filled slots to
+// the consumer, the other carries them back — so the steady-state
+// hand-off performs no locking and no allocation.
 //
 // Concurrency contract: exactly one producer thread calls try_push/push,
 // exactly one consumer thread calls try_pop/pop. Any thread may call

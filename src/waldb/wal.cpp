@@ -10,7 +10,7 @@ namespace capes::waldb {
 
 namespace {
 
-std::uint32_t record_crc(const WalRecord& r) {
+std::uint32_t wal_crc(const WalRecord& r) {
   std::uint32_t crc = util::crc32(&r.table_id, sizeof(r.table_id));
   crc = util::crc32_update(crc, &r.key, sizeof(r.key));
   if (!r.payload.empty()) {
@@ -45,7 +45,7 @@ bool WriteAheadLog::append(const WalRecord& record) {
   if (file_ == nullptr) return false;
   util::BinaryWriter w;
   w.put_u32(static_cast<std::uint32_t>(record.payload.size()));
-  w.put_u32(record_crc(record));
+  w.put_u32(wal_crc(record));
   w.put_u32(record.table_id);
   w.put_i64(record.key);
   w.put_raw(record.payload.data(), record.payload.size());
@@ -120,7 +120,7 @@ std::optional<std::size_t> WriteAheadLog::replay(
       rec.key = *key;
       rec.payload.resize(*len);
       valid = r.get_raw(rec.payload.data(), rec.payload.size()) &&
-              record_crc(rec) == *crc;
+              wal_crc(rec) == *crc;
     }
     if (!valid) {
       // Torn/corrupt tail: stop here, surface what was lost.

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -10,6 +14,8 @@
 #include "capture/trace_meta.hpp"
 #include "capture/wire_log_reader.hpp"
 #include "capture/wire_log_writer.hpp"
+#include "net/frame.hpp"
+#include "util/serialize.hpp"
 
 namespace capes::capture {
 namespace {
@@ -49,16 +55,82 @@ void write_capture(const std::string& path, int n,
   EXPECT_EQ(writer.records_dropped(), 0u);
 }
 
+std::string to_hex(const std::vector<std::uint8_t>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
+// The capture format, byte for byte: header (magic, version, drop count,
+// meta), then one record per call below. Any change to these bytes
+// breaks every capture already on disk.
+TEST_F(WireLogTest, FormatBytesArePinned) {
+  const std::uint8_t status[3] = {0x01, 0x80, 0xff};
+  const double reward[2] = {1.5, -0.25};
+  const std::uint8_t phase = 1;
+  {
+    WireLogWriterOptions opts;
+    opts.path = path_;
+    WireLogWriter writer(opts, tiny_meta());
+    ASSERT_TRUE(writer.ok());
+    writer.record(RecordType::kStatus, 7, 0x1122334455667788ull, 3, status,
+                  sizeof(status));
+    writer.record(RecordType::kWorkloadChange, -1, 0, 0, nullptr, 0);
+    writer.record_f64s(RecordType::kReward, 8, 2, 0, reward, 2);
+    writer.record(RecordType::kPhaseBegin, 9, 0, 0, &phase, 1);
+    ASSERT_TRUE(writer.close());
+  }
+  const auto bytes = util::read_file(path_);
+  ASSERT_TRUE(bytes.has_value());
+  EXPECT_EQ(to_hex(*bytes),
+            // Header (CAPW, version 1, 0 dropped, meta_len 4, meta),
+            // then each record from the start of a line.
+            "4341505701000000000000000000000004000000deadbeef"
+            "03000000533939d3010700000000000000887766554433221103000000000000"
+            "000180ff"
+            "000000008aa38b8b07ffffffffffffffff000000000000000000000000000000"
+            "00"
+            "100000002f83900f020800000000000000020000000000000000000000000000"
+            "00000000000000f83f000000000000d0bf"
+            "0100000054bde29c050900000000000000000000000000000000000000000000"
+            "0001");
+
+  // The record region is exactly what the tcp link sends for the same
+  // records: one codec for both.
+  std::vector<std::uint8_t> frames;
+  net::encode_frame(1, 7, 0x1122334455667788ull, 3, status, sizeof(status),
+                    &frames);
+  net::encode_frame(7, -1, 0, 0, nullptr, 0, &frames);
+  std::uint8_t reward_le[16];
+  for (int i = 0; i < 2; ++i) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &reward[i], sizeof(bits));
+    for (int b = 0; b < 8; ++b) {
+      reward_le[i * 8 + b] = static_cast<std::uint8_t>(bits >> (8 * b));
+    }
+  }
+  net::encode_frame(2, 8, 2, 0, reward_le, sizeof(reward_le), &frames);
+  net::encode_frame(5, 9, 0, 0, &phase, 1, &frames);
+  const std::size_t header = 20 + tiny_meta().size();
+  ASSERT_EQ(bytes->size(), header + frames.size());
+  EXPECT_EQ(std::vector<std::uint8_t>(bytes->begin() + header, bytes->end()),
+            frames);
+}
+
 TEST_F(WireLogTest, RoundTripPreservesEveryField) {
   write_capture(path_, 25);
   WireLogReader reader;
   std::string error;
   ASSERT_TRUE(reader.open(path_, &error)) << error;
   EXPECT_EQ(reader.meta(), tiny_meta());
-  WireRecord rec;
+  net::Frame rec;
   for (int i = 0; i < 25; ++i) {
     ASSERT_TRUE(reader.next(&rec)) << "record " << i;
-    EXPECT_EQ(rec.type, static_cast<RecordType>(1 + (i % 4)));
+    EXPECT_EQ(rec.type, 1 + (i % 4));
     EXPECT_EQ(rec.tick, i);
     EXPECT_EQ(rec.topic, 100u + static_cast<std::uint64_t>(i));
     EXPECT_EQ(rec.sender, 200u + static_cast<std::uint64_t>(i));
@@ -86,7 +158,7 @@ TEST_F(WireLogTest, F64PayloadRoundTrips) {
   WireLogReader reader;
   std::string error;
   ASSERT_TRUE(reader.open(path_, &error)) << error;
-  WireRecord rec;
+  net::Frame rec;
   ASSERT_TRUE(reader.next(&rec));
   ASSERT_EQ(rec.payload.size(), 24u);
   double got[3];
@@ -107,7 +179,7 @@ TEST_F(WireLogTest, EmptyCaptureIsCleanEof) {
   WireLogReader reader;
   std::string error;
   ASSERT_TRUE(reader.open(path_, &error)) << error;
-  WireRecord rec;
+  net::Frame rec;
   EXPECT_FALSE(reader.next(&rec));
   EXPECT_FALSE(reader.tail_truncated());
   EXPECT_EQ(reader.stats().valid_records, 0u);
@@ -121,7 +193,7 @@ TEST_F(WireLogTest, TornTailTruncatesAtLastValidRecord) {
   WireLogReader reader;
   std::string error;
   ASSERT_TRUE(reader.open(path_, &error)) << error;
-  WireRecord rec;
+  net::Frame rec;
   std::uint64_t valid = 0;
   while (reader.next(&rec)) ++valid;
   EXPECT_EQ(valid, 9u);
@@ -149,13 +221,118 @@ TEST_F(WireLogTest, MidFileCorruptionDropsEverythingAfter) {
   WireLogReader reader;
   std::string error;
   ASSERT_TRUE(reader.open(path_, &error)) << error;
-  WireRecord rec;
+  net::Frame rec;
   std::uint64_t valid = 0;
   while (reader.next(&rec)) ++valid;
   EXPECT_EQ(valid, 3u);
   EXPECT_TRUE(reader.tail_truncated());
   // The length-prefix walk sees the 7 whole records behind the bad CRC.
   EXPECT_EQ(reader.stats().truncated_records, 7u);
+}
+
+TEST_F(WireLogTest, OversizedPayloadIsShedNotWritten) {
+  {
+    WireLogWriterOptions opts;
+    opts.path = path_;
+    WireLogWriter writer(opts, tiny_meta());
+    ASSERT_TRUE(writer.ok());
+    const std::vector<std::uint8_t> big(net::kMaxFramePayload + 1, 0xab);
+    writer.record(RecordType::kStatus, 0, 0, 0, big.data(), big.size());
+    const std::uint8_t b = 1;
+    writer.record(RecordType::kStatus, 1, 0, 0, &b, 1);
+    ASSERT_TRUE(writer.close());
+    EXPECT_EQ(writer.records_logged(), 1u);
+    EXPECT_EQ(writer.records_dropped(), 1u);
+  }
+  WireLogReader reader;
+  std::string error;
+  ASSERT_TRUE(reader.open(path_, &error)) << error;
+  net::Frame rec;
+  ASSERT_TRUE(reader.next(&rec));
+  EXPECT_EQ(rec.tick, 1);
+  EXPECT_FALSE(reader.next(&rec));
+  EXPECT_FALSE(reader.tail_truncated());
+  EXPECT_EQ(reader.stats().dropped_records, 1u);
+}
+
+void patch_le32(const std::string& path, std::streamoff offset,
+                std::uint32_t value) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(offset);
+  for (int b = 0; b < 4; ++b) f.put(static_cast<char>(value >> (8 * b)));
+}
+
+// Length fields from the file are checked before anything is sized from
+// them: a forged meta length fails open(), and a forged record length
+// ends the capture there, like a bad CRC.
+TEST_F(WireLogTest, HostileLengthPrefixesAreRejected) {
+  write_capture(path_, 5);
+  patch_le32(path_, 16, 0xFFFFFFFFu);  // meta_len
+  WireLogReader reader;
+  std::string error;
+  EXPECT_FALSE(reader.open(path_, &error));
+  EXPECT_NE(error.find("meta truncated"), std::string::npos) << error;
+
+  write_capture(path_, 5);
+  // Header 20 + 4 meta bytes; record i is 33 + (i % 7) bytes.
+  const std::size_t record2 = 24 + 33 + 34;
+  patch_le32(path_, static_cast<std::streamoff>(record2), 0xFFFFFFFFu);
+  ASSERT_TRUE(reader.open(path_, &error)) << error;
+  net::Frame rec;
+  std::uint64_t valid = 0;
+  while (reader.next(&rec)) ++valid;
+  EXPECT_EQ(valid, 2u);
+  EXPECT_TRUE(reader.tail_truncated());
+  EXPECT_EQ(reader.stats().truncated_records, 1u);
+  EXPECT_EQ(reader.stats().truncated_bytes,
+            std::filesystem::file_size(path_) - record2);
+}
+
+#ifdef __GLIBC__
+std::ptrdiff_t heap_in_use() {
+  const struct mallinfo2 m = mallinfo2();
+  return static_cast<std::ptrdiff_t>(m.uordblks + m.hblkhd);
+}
+#endif
+
+// The reader streams the file: reading a capture holds one read chunk
+// plus one frame, not the whole file.
+TEST_F(WireLogTest, ReaderHeapDoesNotGrowWithTheFile) {
+#ifndef __GLIBC__
+  GTEST_SKIP() << "heap accounting needs glibc's mallinfo2";
+#else
+  constexpr int kRecords = 4000;
+  {
+    WireLogWriterOptions opts;
+    opts.path = path_;
+    WireLogWriter writer(opts, tiny_meta());
+    ASSERT_TRUE(writer.ok());
+    const std::vector<std::uint8_t> payload(1000, 0x5a);
+    for (int i = 0; i < kRecords; ++i) {
+      writer.record(RecordType::kStatus, i, 0, 0, payload.data(),
+                    payload.size());
+    }
+    ASSERT_TRUE(writer.close());
+    ASSERT_EQ(writer.records_dropped(), 0u);
+  }
+  ASSERT_GT(std::filesystem::file_size(path_), 4'000'000u);
+  net::Frame rec;
+  rec.payload.reserve(1000);
+  const std::ptrdiff_t before = heap_in_use();
+  std::ptrdiff_t peak = 0;
+  int valid = 0;
+  {
+    WireLogReader reader;
+    std::string error;
+    ASSERT_TRUE(reader.open(path_, &error)) << error;
+    while (reader.next(&rec)) {
+      ++valid;
+      peak = std::max(peak, heap_in_use() - before);
+    }
+  }
+  EXPECT_EQ(valid, kRecords);
+  EXPECT_LT(peak, 512 * 1024);
+#endif
 }
 
 TEST_F(WireLogTest, ReaderSurfacesHeaderDropCount) {

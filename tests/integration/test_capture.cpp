@@ -165,9 +165,9 @@ TEST_F(CaptureIntegration, CaptureFileRecordsAllHops) {
   ASSERT_TRUE(reader.open(path_, &error)) << error;
   std::uint64_t status = 0, reward = 0, action = 0, broadcast = 0;
   std::uint64_t phase_begin = 0, phase_end = 0;
-  capture::WireRecord rec;
+  net::Frame rec;
   while (reader.next(&rec)) {
-    switch (rec.type) {
+    switch (static_cast<capture::RecordType>(rec.type)) {
       case capture::RecordType::kStatus: ++status; break;
       case capture::RecordType::kReward: ++reward; break;
       case capture::RecordType::kAction: ++action; break;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <vector>
 
 namespace capes::lustre {
 namespace {
@@ -178,9 +180,11 @@ TEST(Cluster, RetransmitsAfterSustainedOverload) {
   Cluster cluster(sim, o);
   cluster.set_parameters({256.0, 4000.0});
   util::Rng rng(5);
-  // Saturating random writes from all clients.
-  for (std::size_t c = 0; c < cluster.num_clients(); ++c) {
-    auto loop = std::make_shared<std::function<void()>>();
+  // Saturating random writes from all clients. The test owns the loops
+  // and each captures a raw pointer to itself, so none keeps itself alive.
+  std::vector<std::function<void()>> loops(cluster.num_clients());
+  for (std::size_t c = 0; c < loops.size(); ++c) {
+    std::function<void()>* loop = &loops[c];
     *loop = [&cluster, c, loop, &rng] {
       cluster.client(c).write(c + 1, (rng.next_u64() % (1 << 14)) << 16, 65536,
                               [loop] { (*loop)(); });

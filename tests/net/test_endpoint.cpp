@@ -129,6 +129,23 @@ TEST(Endpoint, QueuedFramesFlushBeforeCleanClose) {
   EXPECT_EQ(received, kFrames);
 }
 
+TEST(Endpoint, OversizedPayloadIsShedAndTheLinkSurvives) {
+  Loopback pair = make_loopback();
+  // A frame above the bound would make the peer's parser declare the
+  // stream corrupt; the sender sheds it instead.
+  const std::vector<std::uint8_t> big(kMaxFramePayload + 1, 0xab);
+  EXPECT_FALSE(pair.client->send(3, 0, 0, 0, big.data(), big.size()));
+  EXPECT_EQ(pair.client->send_dropped(), 1u);
+  const std::uint8_t b = 7;
+  ASSERT_TRUE(pair.client->send(3, 1, 0, 0, &b, 1));
+  InSlot* slot = pair.accepted->recv();
+  ASSERT_NE(slot, nullptr);
+  EXPECT_EQ(slot->frame.tick, 1);
+  pair.accepted->recycle(slot);
+  EXPECT_TRUE(pair.accepted->alive());
+  EXPECT_TRUE(pair.client->alive());
+}
+
 TEST(Endpoint, SendAfterCloseShedsInsteadOfBlocking) {
   Loopback pair = make_loopback();
   pair.client->close();

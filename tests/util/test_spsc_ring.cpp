@@ -178,46 +178,6 @@ TEST(SpscRing, ShutdownDrainStressDeliversEveryBufferedValue) {
   }
 }
 
-// The capture-writer shape: a pool of slots circulating through two
-// rings (free: consumer->producer, work: producer->consumer). Slots are
-// conserved — the producer only ever drops when the pool is exhausted,
-// and every slot pushed to the work ring comes back.
-TEST(SpscRing, TwoRingSlotRecyclingConservesSlots) {
-  constexpr std::size_t kSlots = 8;
-  SpscRing<int> free_ring(kSlots);
-  SpscRing<int> work_ring(kSlots);
-  for (std::size_t i = 0; i < kSlots; ++i) {
-    ASSERT_TRUE(free_ring.try_push(int(i)));
-  }
-  std::uint64_t consumed = 0;
-  std::thread consumer([&] {
-    int slot = -1;
-    while (work_ring.pop(slot)) {
-      ++consumed;
-      free_ring.try_push(int(slot));  // recycle
-    }
-    free_ring.close();
-  });
-  std::uint64_t sent = 0;
-  std::uint64_t dropped = 0;
-  for (int i = 0; i < 100000; ++i) {
-    int slot = -1;
-    if (!free_ring.try_pop(slot)) {
-      ++dropped;  // pool exhausted: shed, never block
-      continue;
-    }
-    ASSERT_TRUE(work_ring.try_push(int(slot)));  // never full while conserved
-    ++sent;
-  }
-  work_ring.close();
-  consumer.join();
-  EXPECT_EQ(consumed, sent);
-  EXPECT_EQ(sent + dropped, 100000u);
-  // Every slot is back in exactly one place: the (closed) free ring.
-  std::uint64_t recovered = free_ring.size();
-  EXPECT_EQ(recovered, kSlots);
-}
-
 TEST(SpscRing, MovesNonTrivialPayloads) {
   SpscRing<std::vector<int>> ring(4);
   std::vector<int> payload(100);
