@@ -48,7 +48,7 @@ std::unique_ptr<core::Experiment> build(const std::string& capture_path) {
                      .workload(benchutil::random_spec(0.5))
                      .warmup_seconds(2)
                      .worker_threads(0)
-                     .learner(core::LearnerMode::kSync);
+                     .learner("sync");
   if (!capture_path.empty()) builder.capture(capture_path);
   return benchutil::build_or_die(std::move(builder));
 }

@@ -40,7 +40,7 @@ struct Sample {
   }
 };
 
-std::unique_ptr<core::Experiment> build(core::LearnerMode mode,
+std::unique_ptr<core::Experiment> build(const char* mode,
                                         std::size_t threads) {
   auto builder = core::Experiment::builder()
                      .seed(11)
@@ -53,7 +53,7 @@ std::unique_ptr<core::Experiment> build(core::LearnerMode mode,
 
 /// Warm past the replay ramp-up so every measured tick runs full
 /// minibatch training, then time `ticks` training ticks.
-double measure(core::LearnerMode mode, std::size_t threads,
+double measure(const char* mode, std::size_t threads,
                std::int64_t ticks) {
   auto experiment = build(mode, threads);
   experiment->run_training(
@@ -121,8 +121,8 @@ int main(int argc, char** argv) {
   for (std::size_t threads : kThreadCounts) {
     Sample s;
     s.threads = threads;
-    s.ticks_per_sec_sync = measure(core::LearnerMode::kSync, threads, ticks);
-    s.ticks_per_sec_async = measure(core::LearnerMode::kAsync, threads, ticks);
+    s.ticks_per_sec_sync = measure("sync", threads, ticks);
+    s.ticks_per_sec_async = measure("async", threads, ticks);
     std::printf("%8zu %12.1f %13.1f %8.2fx\n", s.threads, s.ticks_per_sec_sync,
                 s.ticks_per_sec_async, s.speedup());
     std::fflush(stdout);

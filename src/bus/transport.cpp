@@ -55,15 +55,6 @@ Delivery SimTransport::plan(std::uint64_t topic, std::uint64_t sender,
   return {false, send_tick + delay};
 }
 
-TcpTransport::TcpTransport(const TransportOptions& opts) : opts_(opts) {}
-
-Delivery TcpTransport::plan(std::uint64_t, std::uint64_t,
-                            std::int64_t send_tick) const {
-  // TCP is a reliable per-peer FIFO: the local channel never drops or
-  // delays. Peer-death loss is counted at the endpoint, not planned here.
-  return {false, send_tick};
-}
-
 FaultingTransport::FaultingTransport(std::unique_ptr<Transport> inner,
                                      DropFn drop)
     : inner_(std::move(inner)), drop_(std::move(drop)) {}
@@ -81,9 +72,7 @@ std::unique_ptr<Transport> make_transport(const TransportOptions& opts) {
   if (opts.kind == TransportKind::kSim) {
     return std::make_unique<SimTransport>(opts);
   }
-  if (opts.kind == TransportKind::kTcp) {
-    return std::make_unique<TcpTransport>(opts);
-  }
+  // tcp is a reliable FIFO per peer: locally it plans like sync.
   return std::make_unique<SyncTransport>();
 }
 

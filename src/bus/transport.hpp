@@ -7,22 +7,22 @@
 // that. A bus::Transport decides every message's fate; bus::Channel
 // (channel.hpp) queues accepted messages until their delivery tick.
 //
-// Three implementations:
+// Two policies serve the three TransportKinds:
 //  * SyncTransport — every message delivered on its send tick. Draining a
 //    sync channel inside the same tick is bit-identical to the direct
 //    function calls it replaced (the default, and the reproduction mode).
+//    It is also the local channel policy of the tcp kind, the real
+//    control network: TCP is a reliable FIFO per peer, so nothing is
+//    dropped or delayed locally and drain order matches sync order. The
+//    socket machinery lives in src/net/ and the remote-brain wiring in
+//    src/core/, keyed off TransportKind::kTcp and the host/port fields
+//    here. Loss only happens when a peer dies, and is surfaced through
+//    PhaseReport::messages_dropped.
 //  * SimTransport — seeded latency / jitter / drop model driven by the
 //    simulator's tick clock. Per-message fates are *counter-based*: a
 //    fate is a pure hash of (seed, topic, sender, send tick), never a
 //    draw from a shared RNG stream, so results are identical no matter
 //    how many worker threads publish concurrently or in what order.
-//  * TcpTransport — the real control network. The local channel policy is
-//    sync-like (nothing dropped, delivered on the send tick: TCP is a
-//    reliable FIFO per peer, so local drain order matches sync order);
-//    the socket machinery lives in src/net/ and the remote-brain wiring
-//    in src/core/, keyed off TransportKind::kTcp and the host/port
-//    fields here. Loss only happens when a peer dies, and is surfaced
-//    through PhaseReport::messages_dropped.
 
 #include <cstdint>
 #include <functional>
@@ -70,7 +70,7 @@ struct TransportOptions {
   /// daemon binary and rejected in specs).
   std::string tcp_host;
   std::int64_t tcp_port = 0;
-  /// Connect retry budget: capes_agentd retries with capped backoff until
+  /// Connect retry budget: the agent retries with capped backoff until
   /// this deadline (tcp only).
   std::int64_t connect_timeout_ms = 5000;
 };
@@ -102,17 +102,14 @@ class Transport {
   /// The fate of the message `sender` sends on `topic` at `send_tick`.
   virtual Delivery plan(std::uint64_t topic, std::uint64_t sender,
                         std::int64_t send_tick) const = 0;
-
-  /// "sync", "sim", or "tcp" (the spec scheme).
-  virtual const char* name() const = 0;
 };
 
-/// Immediate delivery: deliver_tick == send_tick, nothing dropped.
+/// Immediate delivery: deliver_tick == send_tick, nothing dropped (the
+/// sync and tcp kinds).
 class SyncTransport final : public Transport {
  public:
   Delivery plan(std::uint64_t topic, std::uint64_t sender,
                 std::int64_t send_tick) const override;
-  const char* name() const override { return "sync"; }
 };
 
 /// Seeded latency / jitter / drop model (see TransportOptions fields).
@@ -122,28 +119,6 @@ class SimTransport final : public Transport {
 
   Delivery plan(std::uint64_t topic, std::uint64_t sender,
                 std::int64_t send_tick) const override;
-  const char* name() const override { return "sim"; }
-
-  const TransportOptions& options() const { return opts_; }
-
- private:
-  TransportOptions opts_;
-};
-
-/// Local channel policy for the tcp control network: reliable FIFO, so
-/// nothing dropped and delivery on the send tick (identical to sync —
-/// which is what makes loopback tcp bit-identical to sync). The actual
-/// socket I/O lives in net::Endpoint; this object only carries the
-/// parsed connection options through the bus seam.
-class TcpTransport final : public Transport {
- public:
-  explicit TcpTransport(const TransportOptions& opts);
-
-  Delivery plan(std::uint64_t topic, std::uint64_t sender,
-                std::int64_t send_tick) const override;
-  const char* name() const override { return "tcp"; }
-
-  const TransportOptions& options() const { return opts_; }
 
  private:
   TransportOptions opts_;
@@ -155,8 +130,7 @@ class TcpTransport final : public Transport {
 /// latency / jitter / drop fates. The predicate must satisfy the same
 /// contract as plan() itself: pure per (topic, sender, send_tick) and
 /// safe to call from concurrent worker threads (the fault predicates in
-/// sim/fault.hpp are pure hashes, so they qualify). name() forwards to
-/// the inner transport: the wrapper changes fates, not the scheme.
+/// sim/fault.hpp are pure hashes, so they qualify).
 class FaultingTransport final : public Transport {
  public:
   using DropFn = std::function<bool(std::uint64_t topic, std::uint64_t sender,
@@ -166,9 +140,6 @@ class FaultingTransport final : public Transport {
 
   Delivery plan(std::uint64_t topic, std::uint64_t sender,
                 std::int64_t send_tick) const override;
-  const char* name() const override { return inner_->name(); }
-
-  Transport& inner() { return *inner_; }
 
  private:
   std::unique_ptr<Transport> inner_;

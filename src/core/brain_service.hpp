@@ -1,8 +1,8 @@
 #pragma once
 // The daemon-side half of the distributed control plane: one BrainService
 // session hosts a LocalBrain (Replay DB + Interface Daemon + DRL Engine)
-// for one connected capes_agentd and speaks the remote_brain protocol
-// over a net::Endpoint.
+// for one connected agent (capes_run --transport=tcp:) and speaks the
+// remote_brain protocol over a net::Endpoint.
 //
 // The brain is built from the client's Hello — the same TraceMeta
 // snapshot a capture file leads with, plus the per-domain action-space

@@ -111,49 +111,21 @@ ExperimentBuilder& ExperimentBuilder::sim_shards(std::size_t shards) {
 
 ExperimentBuilder& ExperimentBuilder::shard_plan(std::string spec) {
   shard_plan_spec_ = std::move(spec);
-  shard_plan_kind_.reset();
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::shard_plan(sim::ShardPlanKind kind) {
-  shard_plan_kind_ = kind;
-  shard_plan_spec_.reset();
   return *this;
 }
 
 ExperimentBuilder& ExperimentBuilder::transport(std::string spec) {
   transport_spec_ = std::move(spec);
-  transport_options_.reset();
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::transport(bus::TransportOptions opts) {
-  transport_options_ = opts;
-  transport_spec_.reset();
   return *this;
 }
 
 ExperimentBuilder& ExperimentBuilder::faults(std::string spec) {
   faults_spec_ = std::move(spec);
-  faults_plan_.reset();
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::faults(sim::FaultPlan plan) {
-  faults_plan_ = plan;
-  faults_spec_.reset();
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::learner(LearnerMode mode) {
-  learner_mode_ = mode;
-  learner_spec_.reset();
   return *this;
 }
 
 ExperimentBuilder& ExperimentBuilder::learner(std::string spec) {
   learner_spec_ = std::move(spec);
-  learner_mode_.reset();
   return *this;
 }
 
@@ -285,8 +257,8 @@ std::unique_ptr<Experiment> ExperimentBuilder::build(std::string* error) {
   if (tune_write_cache_) preset.cluster.tune_write_cache = true;
   if (capes_options_) preset.capes = *capes_options_;
   // An explicit transport() wins over the preset, config file, and
-  // capes_options(). The spec-string form validates here so a typo is a
-  // build() error, not a silent sync fallback.
+  // capes_options(). The spec validates here so a typo is a build()
+  // error, not a silent sync fallback.
   if (transport_spec_) {
     std::string transport_error;
     if (!bus::parse_transport_spec(*transport_spec_, &preset.capes.transport,
@@ -295,11 +267,9 @@ std::unique_ptr<Experiment> ExperimentBuilder::build(std::string* error) {
                       "': " + transport_error);
       return nullptr;
     }
-  } else if (transport_options_) {
-    preset.capes.transport = *transport_options_;
   }
-  // Learner mode mirrors the transport precedence: the spec-string form
-  // validates here so a typo is a build() error.
+  // Learner mode, shard plan and faults mirror the transport precedence
+  // and validation.
   if (learner_spec_) {
     const auto mode = util::find_name(kLearnerModeNames, *learner_spec_);
     if (!mode) {
@@ -308,14 +278,10 @@ std::unique_ptr<Experiment> ExperimentBuilder::build(std::string* error) {
       return nullptr;
     }
     preset.capes.engine.learner_mode = static_cast<LearnerMode>(*mode);
-  } else if (learner_mode_) {
-    preset.capes.engine.learner_mode = *learner_mode_;
   }
   if (learner_checkpoint_ticks_) {
     preset.capes.engine.checkpoint_ticks = *learner_checkpoint_ticks_;
   }
-  // Shard plan mirrors the transport/learner precedence: the spec-string
-  // form validates here so a typo is a build() error.
   if (shard_plan_spec_) {
     std::string plan_error;
     if (!sim::parse_shard_plan_spec(*shard_plan_spec_,
@@ -324,12 +290,7 @@ std::unique_ptr<Experiment> ExperimentBuilder::build(std::string* error) {
            "invalid shard plan spec '" + *shard_plan_spec_ + "': " + plan_error);
       return nullptr;
     }
-  } else if (shard_plan_kind_) {
-    preset.capes.shard_plan = *shard_plan_kind_;
   }
-  // Fault injection mirrors the same precedence: the spec-string form
-  // validates here so a typo is a build() error, not a silent faults-off
-  // run.
   if (faults_spec_) {
     std::string fault_error;
     if (!sim::parse_fault_spec(*faults_spec_, &preset.capes.faults,
@@ -337,8 +298,6 @@ std::unique_ptr<Experiment> ExperimentBuilder::build(std::string* error) {
       fail(error, "invalid fault spec '" + *faults_spec_ + "': " + fault_error);
       return nullptr;
     }
-  } else if (faults_plan_) {
-    preset.capes.faults = *faults_plan_;
   }
   // Fault fates are pure functions of the simulated tick clock; a real
   // control network has no such clock to share, so the combination is a

@@ -138,8 +138,6 @@ class ExperimentBuilder {
   /// bit-identical to the serial loop for a fixed seed. A malformed spec
   /// fails build(). Conf key: capes.sim.shard_plan.
   ExperimentBuilder& shard_plan(std::string spec);
-  /// Same, from the already-parsed kind.
-  ExperimentBuilder& shard_plan(sim::ShardPlanKind kind);
   /// Control-network transport for the agent <-> daemon hops, as a spec
   /// string: "sync" (immediate delivery, the default — bit-identical to
   /// builds that never call transport()) or
@@ -147,8 +145,6 @@ class ExperimentBuilder {
   /// latency / jitter / drop). A malformed spec fails build(). Wins over
   /// capes_options()/config-file transport settings.
   ExperimentBuilder& transport(std::string spec);
-  /// Same, from already-parsed options.
-  ExperimentBuilder& transport(bus::TransportOptions opts);
   /// Deterministic fault injection, as a spec string: "off" (the default
   /// — bit-identical to builds that never call faults()) or
   /// "faults[:ost_crash=P,restart_ticks=N,straggler=P,slow_factor=X,
@@ -160,17 +156,13 @@ class ExperimentBuilder {
   /// keys: capes.sim.faults.*; CLI: --faults=. Wins over
   /// capes_options()/config-file fault settings.
   ExperimentBuilder& faults(std::string spec);
-  /// Same, from an already-parsed plan.
-  ExperimentBuilder& faults(sim::FaultPlan plan);
-  /// Where DRL training steps run: LearnerMode::kSync trains inline on
-  /// the control thread (bit-identical to builds that never call this),
-  /// kAsync moves training to a dedicated learner thread that overlaps
-  /// the next tick's simulation — same weights, same actions, by the
-  /// engine's sampling-on-the-control-thread protocol. Conf key:
-  /// capes.learner.mode. Wins over capes_options()/config-file settings.
-  ExperimentBuilder& learner(LearnerMode mode);
-  /// Same, from a spec string: "sync" or "async". Anything else fails
-  /// build() (no silent fallback).
+  /// Where DRL training steps run, as a spec string: "sync" trains inline
+  /// on the control thread (bit-identical to builds that never call
+  /// this), "async" moves training to a dedicated learner thread that
+  /// overlaps the next tick's simulation — same weights, same actions, by
+  /// the engine's sampling-on-the-control-thread protocol. Anything else
+  /// fails build() (no silent fallback). Conf key: capes.learner.mode.
+  /// Wins over capes_options()/config-file settings.
   ExperimentBuilder& learner(std::string spec);
   /// Persist the learner's full state (weights, optimizer moments, step
   /// counters) through the durable replay DB every N training ticks
@@ -228,12 +220,8 @@ class ExperimentBuilder {
   std::optional<std::size_t> worker_threads_;
   std::optional<std::size_t> sim_shards_;
   std::optional<std::string> shard_plan_spec_;
-  std::optional<sim::ShardPlanKind> shard_plan_kind_;
   std::optional<std::string> transport_spec_;
-  std::optional<bus::TransportOptions> transport_options_;
   std::optional<std::string> faults_spec_;
-  std::optional<sim::FaultPlan> faults_plan_;
-  std::optional<LearnerMode> learner_mode_;
   std::optional<std::string> learner_spec_;
   std::optional<std::size_t> learner_checkpoint_ticks_;
   std::optional<CapesOptions> capes_options_;

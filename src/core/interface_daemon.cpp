@@ -33,18 +33,6 @@ InterfaceDaemon::InterfaceDaemon(rl::ReplayDb& replay,
   for (const DaemonShard& slice : shards) add_shard(slice, transport);
 }
 
-InterfaceDaemon::InterfaceDaemon(rl::ReplayDb& replay,
-                                 const std::vector<ControlDomain*>& domains,
-                                 std::size_t pis_per_node,
-                                 bus::Transport* transport)
-    : InterfaceDaemon(replay, {}, 0, pis_per_node, transport) {
-  for (ControlDomain* domain : domains) {
-    add_shard(domain_shard(*domain), transport);
-    decoders_.resize(decoders_.size() + domain->num_nodes(),
-                     PiDecoder(pis_per_node));
-  }
-}
-
 void InterfaceDaemon::add_shard(const DaemonShard& slice,
                                 bus::Transport* transport) {
   Shard shard;

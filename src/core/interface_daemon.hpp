@@ -99,12 +99,6 @@ class InterfaceDaemon {
                   std::size_t num_nodes, std::size_t pis_per_node,
                   bus::Transport* transport = nullptr);
 
-  /// One shard per domain (domain_shard), in order.
-  InterfaceDaemon(rl::ReplayDb& replay,
-                  const std::vector<ControlDomain*>& domains,
-                  std::size_t pis_per_node,
-                  bus::Transport* transport = nullptr);
-
   /// Incoming PI message from a Monitoring Agent; the leading global node
   /// id picks the shard decoder, and the decoded PIs are written to the
   /// replay DB under that global node id.

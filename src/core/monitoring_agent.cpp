@@ -2,23 +2,12 @@
 
 namespace capes::core {
 
-MonitoringAgent::MonitoringAgent(std::size_t node, TargetSystemAdapter& adapter,
-                                 Deliver deliver)
-    : MonitoringAgent(node, node, adapter, std::move(deliver)) {}
-
-MonitoringAgent::MonitoringAgent(std::size_t local_node, std::size_t global_node,
-                                 TargetSystemAdapter& adapter, Deliver deliver)
-    : adapter_(adapter),
-      local_node_(local_node),
-      encoder_(global_node, adapter.pis_per_node()),
-      deliver_(std::move(deliver)) {}
-
 MonitoringAgent::MonitoringAgent(std::size_t local_node, std::size_t global_node,
                                  TargetSystemAdapter& adapter, PiChannel& channel)
     : adapter_(adapter),
       local_node_(local_node),
       encoder_(global_node, adapter.pis_per_node()),
-      channel_(&channel) {}
+      channel_(channel) {}
 
 void MonitoringAgent::sample(std::int64_t t) {
   publish(t, collect_and_encode(t));
@@ -37,30 +26,19 @@ std::vector<std::uint8_t> MonitoringAgent::collect_and_encode(std::int64_t t) {
   arena_.reset();
   float* pis = arena_.alloc_array<float>(encoder_.num_pis());
   adapter_.collect_observation_into(local_node_, pis);
-  if (channel_ != nullptr && channel_->will_drop(node(), t)) return {};
+  if (channel_.will_drop(node(), t)) return {};
   std::vector<std::uint8_t> msg = acquire_payload();
   encoder_.encode_into(t, pis, encoder_.num_pis(), msg);
   return msg;
 }
 
 void MonitoringAgent::publish(std::int64_t t, std::vector<std::uint8_t> msg) {
-  if (channel_ != nullptr) {
-    // An empty msg means collect_and_encode already saw the drop verdict;
-    // publish recomputes the same pure fate and counts it as dropped.
-    // A payload the transport drops here is simply destroyed — drops are
-    // off the steady-state path, so losing the buffer only means the pool
-    // refills on a later tick.
-    channel_->publish(node(), t, std::move(msg));
-    return;
-  }
-  if (deliver_) {
-    deliver_(msg);
-    recycle_payload(std::move(msg));
-  }
-}
-
-void MonitoringAgent::deliver(const std::vector<std::uint8_t>& msg) {
-  if (deliver_) deliver_(msg);
+  // An empty msg means collect_and_encode already saw the drop verdict;
+  // publish recomputes the same pure fate and counts it as dropped. A
+  // payload the transport drops here is simply destroyed — drops are off
+  // the steady-state path, so losing the buffer only means the pool
+  // refills on a later tick.
+  channel_.publish(node(), t, std::move(msg));
 }
 
 std::vector<std::uint8_t> MonitoringAgent::acquire_payload() {

@@ -23,7 +23,6 @@
 // route the message.
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "bus/channel.hpp"
@@ -40,25 +39,13 @@ using PiChannel = bus::Channel<std::vector<std::uint8_t>>;
 
 class MonitoringAgent {
  public:
-  /// Direct delivery to the Interface Daemon, bypassing the control
-  /// network (agent-level tests and hop-free wiring).
-  using Deliver = std::function<void(const std::vector<std::uint8_t>&)>;
-
-  /// Single-domain direct form: the wire node id equals the local node id.
-  MonitoringAgent(std::size_t node, TargetSystemAdapter& adapter, Deliver deliver);
-
-  /// Multi-domain direct form: collect as `local_node`, send as
-  /// `global_node`.
-  MonitoringAgent(std::size_t local_node, std::size_t global_node,
-                  TargetSystemAdapter& adapter, Deliver deliver);
-
-  /// Control-network form: publish onto `channel` as sender
+  /// Collect as `local_node`; publish onto `channel` as sender
   /// `global_node`. The channel must outlive the agent.
   MonitoringAgent(std::size_t local_node, std::size_t global_node,
                   TargetSystemAdapter& adapter, PiChannel& channel);
 
-  /// Collect + encode + publish the PIs for sampling tick `t`. In
-  /// channel mode this is thread-safe for distinct nodes of one adapter
+  /// Collect + encode + publish the PIs for sampling tick `t`. This is
+  /// thread-safe for distinct nodes of one adapter
   /// (collectors touch per-node state only; the channel serializes
   /// internally and drain order is publish-order-independent), so the
   /// per-tick fan-out may run it from worker threads directly.
@@ -70,13 +57,10 @@ class MonitoringAgent {
   /// for distinct nodes of one adapter.
   std::vector<std::uint8_t> collect_and_encode(std::int64_t t);
 
-  /// The send half: publish `msg` (encoded at tick `t`) onto the channel,
-  /// or hand it to the direct Deliver callback. An empty `msg` stands for
-  /// "transport-dropped" and only bumps the channel's drop counter.
+  /// The send half: publish `msg` (encoded at tick `t`) onto the channel.
+  /// An empty `msg` stands for "transport-dropped" and only bumps the
+  /// channel's drop counter.
   void publish(std::int64_t t, std::vector<std::uint8_t> msg);
-
-  /// Direct-delivery escape hatch (Deliver mode only; ignores channels).
-  void deliver(const std::vector<std::uint8_t>& msg);
 
   /// Return a drained payload buffer to this agent's free list so the
   /// next encode reuses its capacity instead of allocating. The daemon's
@@ -95,8 +79,7 @@ class MonitoringAgent {
   TargetSystemAdapter& adapter_;
   std::size_t local_node_;
   PiEncoder encoder_;
-  Deliver deliver_;
-  PiChannel* channel_ = nullptr;
+  PiChannel& channel_;
   /// Per-tick scratch for the collected PI vector; reset each sample().
   util::Arena arena_;
   /// Recycled encode buffers (see recycle_payload).

@@ -112,8 +112,9 @@ std::optional<HelloPayload> decode_hello(const std::vector<std::uint8_t>& blob);
 /// every blocking wait exits when the endpoint marks the link dead.
 class BrainClient final : public Brain {
  public:
-  /// `transport` (a TcpTransport; must outlive the client) backs the
-  /// local inbox channel; `opts` supplies host/port/connect_timeout_ms.
+  /// `transport` (the tcp kind's SyncTransport policy; must outlive the
+  /// client) backs the local inbox channel; `opts` supplies
+  /// host/port/connect_timeout_ms.
   BrainClient(bus::Transport& transport, bus::TransportOptions opts,
               net::EndpointOptions endpoint_opts = {});
   ~BrainClient() override;

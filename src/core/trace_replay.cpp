@@ -14,19 +14,6 @@ namespace capes::core {
 using util::get_le32;
 using util::get_le_f64;
 
-bool parse_replay_speed(const std::string& text, ReplaySpeed* out) {
-  if (text == "realtime") {
-    *out = ReplaySpeed::kRealtime;
-  } else if (text == "fast") {
-    *out = ReplaySpeed::kFast;
-  } else if (text == "max") {
-    *out = ReplaySpeed::kMax;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 TraceReplayer::TraceReplayer() = default;
 TraceReplayer::~TraceReplayer() = default;
 

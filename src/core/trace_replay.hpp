@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "capture/trace_meta.hpp"
@@ -29,8 +30,9 @@ enum class ReplaySpeed {
   kMax,       ///< no pacing (the determinism-check mode)
 };
 
-/// Parse "realtime" | "fast" | "max"; false leaves `out` untouched.
-bool parse_replay_speed(const std::string& text, ReplaySpeed* out);
+/// --speed values, indexed by ReplaySpeed.
+inline constexpr std::string_view kReplaySpeedNames[] = {"realtime", "fast",
+                                                         "max"};
 
 struct TraceReplayOptions {
   ReplaySpeed speed = ReplaySpeed::kMax;

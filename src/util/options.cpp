@@ -70,7 +70,7 @@ bool must_be(std::string* error, const RowSpec& row, std::string noun,
 
 /// Clamp (conf) or range-check (spec) a parsed number.
 template <typename T>
-bool fit(T value, const RowSpec& row, bool clamp, const char* noun,
+bool fit(T value, const RowSpec& row, bool clamp, const std::string& noun,
          std::string_view text, T* out, std::string* error) {
   const Range& r = row.range;
   const double v = static_cast<double>(value);
@@ -101,9 +101,14 @@ bool parse(std::string_view text, const RowSpec& row, bool clamp,
 
 bool parse(std::string_view text, const RowSpec& row, bool clamp,
            std::uint64_t* out, std::string* error) {
-  const char* noun = std::isfinite(row.range.lo) || std::isfinite(row.range.hi)
+  if (const auto index = find_name(row.names, text)) {
+    *out = *index;
+    return true;
+  }
+  std::string noun = std::isfinite(row.range.lo) || std::isfinite(row.range.hi)
                          ? "an integer"
                          : "an unsigned integer";
+  if (!row.names.empty()) noun = join_names(row.names) + " or " + noun;
   std::uint64_t value = 0;
   if (parse_u64(text, &value)) {
     return fit(value, row, clamp, noun, text, out, error);
@@ -138,6 +143,9 @@ bool parse(std::string_view text, const RowSpec& row, bool clamp,
   if (!clamp && text.empty()) {
     return reject(error, std::string(row.key) + " must be non-empty");
   }
+  if (!row.names.empty() && !find_name(row.names, text)) {
+    return must_be(error, row, join_names(row.names), text);
+  }
   *out = std::string(text);
   return true;
 }
@@ -165,6 +173,46 @@ std::string format(bool value, const RowSpec&) {
 }
 
 std::string format(const std::string& value, const RowSpec&) { return value; }
+
+std::string usage_entry(const RowSpec& row, std::string_view form, bool boolean,
+                        bool repeated) {
+  std::string entry = "[";
+  entry.append(row.key);
+  if (!boolean) {
+    entry += '=';
+    if (!form.empty()) {
+      entry.append(form);
+    } else if (row.names.empty()) {
+      entry += 'N';
+    }
+    for (std::size_t i = 0; form.empty() && i < row.names.size(); ++i) {
+      if (i > 0) entry += '|';
+      entry.append(row.names[i]);
+    }
+  }
+  entry.append(repeated ? "]..." : "]");
+  return entry;
+}
+
+std::string usage_lines(std::string_view program,
+                        const std::vector<std::string>& entries) {
+  const std::size_t indent = 7 + program.size();  // "usage: <program>"
+  std::string out = "usage: ";
+  out.append(program);
+  std::size_t column = indent;
+  for (const std::string& entry : entries) {
+    if (column > indent && column + 1 + entry.size() > 79) {
+      out += '\n';
+      out.append(indent, ' ');
+      column = indent;
+    }
+    out += ' ';
+    out += entry;
+    column += 1 + entry.size();
+  }
+  out += '\n';
+  return out;
+}
 
 }  // namespace detail
 

@@ -2,11 +2,13 @@
 // Option tables: one declaration per setting. A row names a key, the
 // struct field it sets, and the field's valid range (numbers) or names
 // (enums, whose enumerators are 0..n-1 in name order). The same rows drive
-// both grammars in both directions:
+// every grammar in both directions:
 //
 //   - the strict spec path (the "k=v,..." list after a scheme, as in
 //     --transport=sim:drop=0.1) rejects unknown keys and malformed or
 //     out-of-range values, echoing the offending token;
+//   - the command-line path (parse_flags, rows keyed "--name") is as
+//     strict, and flag_usage() prints the synopsis from the same rows;
 //   - the conf path (util::Config overlays) clamps out-of-range numbers
 //     and keeps the base value for unparsable ones;
 //   - format_options() and write_options() print every row back, so a key
@@ -88,7 +90,9 @@ namespace detail {
 
 // One parser and printer per stored type. parse() is strict (a failure
 // sets *error, naming the key and the value) unless `clamp`, and leaves
-// *out untouched on failure. An int64 row with names is an enum index.
+// *out untouched on failure. An int64 row with names is an enum index;
+// an unsigned row takes its names as 0..n-1 besides numbers in range
+// (--sim-shards=auto is 0); a text row with names takes only those.
 bool parse(std::string_view text, const RowSpec& row, bool clamp,
            std::int64_t* out, std::string* error);
 bool parse(std::string_view text, const RowSpec& row, bool clamp,
@@ -114,6 +118,32 @@ using Stored = std::conditional_t<
         std::conditional_t<std::is_enum_v<T> || std::is_signed_v<T>,
                            std::int64_t, std::uint64_t>>>;
 
+/// A field is a value, an std::optional (set when read) or an std::vector
+/// (each read appends, for repeatable flags) of one.
+template <typename T>
+struct Unwrap {
+  using type = T;
+};
+template <typename T>
+struct Unwrap<std::optional<T>> {
+  using type = T;
+};
+template <typename T>
+struct Unwrap<std::vector<T>> {
+  using type = T;
+};
+
+template <typename S, typename Access>
+using FieldType =
+    std::remove_reference_t<decltype(std::declval<Access>()(std::declval<S&>()))>;
+
+/// "[--key=FORM]", "[--key=FORM]..." or "[--key]" for a bool.
+std::string usage_entry(const RowSpec& row, std::string_view form, bool boolean,
+                        bool repeated);
+/// "usage: <program> <entry>...", wrapped at 79 columns.
+std::string usage_lines(std::string_view program,
+                        const std::vector<std::string>& entries);
+
 }  // namespace detail
 
 /// Type-erased access to one field of S, built from a CAPES_FIELD lambda.
@@ -122,23 +152,44 @@ struct Field {
   bool (*assign)(S& s, std::string_view text, const RowSpec& row, bool clamp,
                  std::string* error);
   std::string (*format)(const S& s, const RowSpec& row);
+  bool boolean;   ///< a bare --flag sets it
+  bool repeated;  ///< an std::vector: each value appends
 
-  template <typename Access>
+  template <typename Access,
+            typename T = detail::FieldType<S, Access>,
+            typename E = typename detail::Unwrap<T>::type>
   constexpr Field(Access)  // implicit, so a row reads {key, CAPES_FIELD(x)}
       : assign([](S& s, std::string_view text, const RowSpec& row, bool clamp,
                   std::string* error) {
-          auto& field = Access{}(s);
-          using T = std::remove_reference_t<decltype(field)>;
-          detail::Stored<T> value{};
+          detail::Stored<E> value{};
           if (!detail::parse(text, row, clamp, &value, error)) return false;
-          field = static_cast<T>(value);
+          if constexpr (std::is_same_v<T, std::vector<E>>) {
+            Access{}(s).push_back(static_cast<E>(value));
+          } else {
+            Access{}(s) = static_cast<E>(value);
+          }
           return true;
         }),
         format([](const S& s, const RowSpec& row) {
-          const auto& field = Access{}(s);
-          using T = std::remove_cvref_t<decltype(field)>;
-          return detail::format(static_cast<detail::Stored<T>>(field), row);
-        }) {}
+          const T& field = Access{}(s);
+          const auto one = [&row](const E& v) {
+            return detail::format(static_cast<detail::Stored<E>>(v), row);
+          };
+          if constexpr (std::is_same_v<T, std::vector<E>>) {
+            std::string out;
+            for (const E& v : field) {
+              if (!out.empty()) out += ',';
+              out += one(v);
+            }
+            return out;
+          } else if constexpr (std::is_same_v<T, std::optional<E>>) {
+            return field ? one(*field) : std::string();
+          } else {
+            return one(field);
+          }
+        }),
+        boolean(std::is_same_v<E, bool>),
+        repeated(std::is_same_v<T, std::vector<E>>) {}
 };
 
 /// A bool member recording that a row was given (seeds: absent means
@@ -161,6 +212,11 @@ struct Option {
   Range range = {};
   Names names = {};
   Flag<S> given = {};
+  /// Flag rows only: the value's form in the usage ("FILE"; by default
+  /// the names, or N for a number), and a further check of the raw value
+  /// (a spec with a grammar of its own; see parses_as).
+  std::string_view form = {};
+  bool (*check)(std::string_view text, std::string* error) = nullptr;
 
   bool assign(S& s, std::string_view text, bool clamp,
               std::string* error) const {
@@ -177,24 +233,29 @@ struct Option {
 template <typename S>
 using Options = std::span<const Option<std::type_identity_t<S>>>;
 
-/// Strict spec path: apply the "k=v,..." list `args` to *out. `what`
+/// An Option::check that `Parse` accepts the value, e.g.
+/// parses_as<bus::TransportOptions, bus::parse_transport_spec>.
+template <typename T, bool (*Parse)(std::string_view, T*, std::string*)>
+bool parses_as(std::string_view text, std::string* error) {
+  T scratch{};
+  return Parse(text, &scratch, error);
+}
+
+/// Strict spec path over a pre-split list: apply the key=value pairs of
+/// `args` to *out and reject any positional argument left in it. `what`
 /// names an option in errors ("unknown <what> 'k'"). On failure *out may
 /// be partly written; callers parse into a scratch struct.
 template <typename S>
-bool parse_options(Options<S> rows, std::string_view args,
+bool parse_options(Options<S> rows, const SpecArgs& args,
                    std::string_view what, S* out, std::string* error) {
-  SpecArgs split;
-  if (!args.empty() && !parse_spec_args(std::string(args), &split, error)) {
-    return false;
-  }
-  if (!split.positional.empty()) {
+  if (!args.positional.empty()) {
     return reject(error, "malformed " + std::string(what) + " '" +
-                             split.positional.front() +
+                             args.positional.front() +
                              "' (expected key=value)");
   }
   std::vector<std::string_view> keys;
   for (const Option<S>& row : rows) keys.push_back(row.key);
-  for (const auto& [key, value] : split.named) {
+  for (const auto& [key, value] : args.named) {
     const auto index = find_name(keys, key);
     if (!index) {
       return reject(error, "unknown " + std::string(what) + " '" + key +
@@ -203,6 +264,60 @@ bool parse_options(Options<S> rows, std::string_view args,
     if (!rows[*index].assign(*out, value, /*clamp=*/false, error)) return false;
   }
   return true;
+}
+
+/// Strict spec path: apply the "k=v,..." list `args` to *out.
+template <typename S>
+bool parse_options(Options<S> rows, std::string_view args,
+                   std::string_view what, S* out, std::string* error) {
+  SpecArgs split;
+  if (!args.empty() && !parse_spec_args(std::string(args), &split, error)) {
+    return false;
+  }
+  return parse_options(rows, split, what, out, error);
+}
+
+/// Command-line path: apply argv[1, argc) to *out, in order, over rows
+/// keyed by their flag ("--seed"). "--key=value" sets a row, a bare
+/// "--key" sets a bool row, and a repeated row appends each value.
+/// Returns false on an unknown argument or a malformed, out-of-range or
+/// check-rejected value, with *error echoing the offending token.
+template <typename S>
+bool parse_flags(Options<S> rows, int argc, char** argv, S* out,
+                 std::string* error) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    const std::string_view key = arg.substr(0, eq);
+    const Option<S>* row = nullptr;
+    for (const Option<S>& candidate : rows) {
+      if (candidate.key == key) row = &candidate;
+    }
+    if (row == nullptr || (eq == arg.npos && !row->field.boolean)) {
+      return reject(error, "unknown argument: " + std::string(arg));
+    }
+    const std::string_view value =
+        eq == arg.npos ? "true" : arg.substr(eq + 1);
+    std::string why;
+    if (row->check && !row->check(value, &why)) {
+      return reject(error, "invalid value for " + std::string(key) + ": " + why);
+    }
+    if (!row->assign(*out, value, /*clamp=*/false, error)) return false;
+  }
+  return true;
+}
+
+/// "usage: <program> [--key=FORM]..." from the rows, in row order,
+/// wrapped at 79 columns.
+template <typename S>
+std::string flag_usage(Options<S> rows, std::string_view program) {
+  std::vector<std::string> entries;
+  for (const Option<S>& row : rows) {
+    entries.push_back(detail::usage_entry({row.key, row.range, row.names},
+                                          row.form, row.field.boolean,
+                                          row.field.repeated));
+  }
+  return detail::usage_lines(program, entries);
 }
 
 /// Canonical "k=v,..." list of `in`, in row order; parse_options reads

@@ -95,20 +95,26 @@ void FileServer::instance_loop(std::size_t idx, int op) {
   (void)sim;
 }
 
+namespace {
+
+constexpr util::Option<FileServerOptions> kFileServerSpecOptions[] = {
+    {"seed", CAPES_FIELD(seed)},
+    {"instances", CAPES_FIELD(instances_per_client), util::at_least(1)},
+    {"files", CAPES_FIELD(files_per_instance), util::at_least(1)},
+};
+
+}  // namespace
+
 void register_file_server(Registry& registry) {
   registry.add(
       "fileserver",
       "fileserver[:seed=N][,instances=N][,files=N] — Filebench-style "
       "create/append/read/delete/stat mix (§4.3, Fig. 3)",
-      [](lustre::Cluster& cluster, const SpecArgs& raw, std::string* error)
+      [](lustre::Cluster& cluster, const SpecArgs& args, std::string* error)
           -> std::unique_ptr<Workload> {
-        SpecArgs args = raw;
         FileServerOptions opts;
-        if (!spec::take_u64(args, "seed", &opts.seed, error) ||
-            !spec::take_size(args, "instances", &opts.instances_per_client,
-                             error) ||
-            !spec::take_size(args, "files", &opts.files_per_instance, error) ||
-            !spec::reject_unknown(args, 0, error)) {
+        if (!util::parse_options(kFileServerSpecOptions, args,
+                                 "fileserver option", &opts, error)) {
           return nullptr;
         }
         return std::make_unique<FileServer>(cluster, opts);

@@ -3,7 +3,6 @@
 #include <memory>
 #include <sstream>
 
-#include "util/parse.hpp"
 #include "workload/registry.hpp"
 
 namespace capes::workload {
@@ -47,6 +46,19 @@ void RandomRw::thread_loop(std::size_t idx) {
   }
 }
 
+namespace {
+
+/// The random: spec's one positional argument.
+constexpr util::Option<RandomRwOptions> kReadFraction = {
+    "read fraction", CAPES_FIELD(read_fraction), {.lo = 0.0, .hi = 1.0}};
+
+constexpr util::Option<RandomRwOptions> kRandomRwSpecOptions[] = {
+    {"seed", CAPES_FIELD(seed)},
+    {"threads", CAPES_FIELD(threads_per_client), util::at_least(1)},
+};
+
+}  // namespace
+
 void register_random_rw(Registry& registry) {
   registry.add(
       "random",
@@ -57,18 +69,14 @@ void register_random_rw(Registry& registry) {
         SpecArgs args = raw;
         RandomRwOptions opts;
         if (!args.positional.empty()) {
-          if (!util::parse_double(args.positional[0], &opts.read_fraction) ||
-              opts.read_fraction < 0.0 || opts.read_fraction > 1.0) {
-            if (error) {
-              *error = "read fraction must be a number in [0, 1], got '" +
-                       args.positional[0] + "'";
-            }
+          if (!kReadFraction.assign(opts, args.positional.front(),
+                                    /*clamp=*/false, error)) {
             return nullptr;
           }
+          args.positional.erase(args.positional.begin());
         }
-        if (!spec::take_u64(args, "seed", &opts.seed, error) ||
-            !spec::take_size(args, "threads", &opts.threads_per_client, error) ||
-            !spec::reject_unknown(args, 1, error)) {
+        if (!util::parse_options(kRandomRwSpecOptions, args, "random option",
+                                 &opts, error)) {
           return nullptr;
         }
         return std::make_unique<RandomRw>(cluster, opts);

@@ -1,66 +1,10 @@
 #include "workload/registry.hpp"
 
-#include "util/parse.hpp"
 #include "workload/file_server.hpp"
 #include "workload/random_rw.hpp"
 #include "workload/seq_write.hpp"
 
 namespace capes::workload {
-
-namespace spec {
-
-namespace {
-
-/// Looks up `key`, erases it, and hands the raw value to `convert`.
-template <typename T, typename Convert>
-bool take(SpecArgs& args, const std::string& key, T* out, std::string* error,
-          Convert convert) {
-  const auto it = args.named.find(key);
-  if (it == args.named.end()) return true;  // absent keeps the default
-  if (!convert(it->second, out)) {
-    if (error) *error = "invalid value for '" + key + "': " + it->second;
-    return false;
-  }
-  args.named.erase(it);
-  return true;
-}
-
-}  // namespace
-
-bool take_u64(SpecArgs& args, const std::string& key, std::uint64_t* out,
-              std::string* error) {
-  return take(args, key, out, error, [](const std::string& s, std::uint64_t* v) {
-    return util::parse_u64(s, v);
-  });
-}
-
-bool take_size(SpecArgs& args, const std::string& key, std::size_t* out,
-               std::string* error) {
-  // Size-like knobs (threads, instances, streams) must also be non-zero.
-  return take(args, key, out, error, [](const std::string& s, std::size_t* v) {
-    std::uint64_t u = 0;
-    if (!util::parse_u64(s, &u) || u == 0) return false;
-    *v = static_cast<std::size_t>(u);
-    return true;
-  });
-}
-
-bool reject_unknown(const SpecArgs& args, std::size_t max_positional,
-                    std::string* error) {
-  if (!args.named.empty()) {
-    if (error) *error = "unknown spec key '" + args.named.begin()->first + "'";
-    return false;
-  }
-  if (args.positional.size() > max_positional) {
-    if (error) {
-      *error = "unexpected argument '" + args.positional[max_positional] + "'";
-    }
-    return false;
-  }
-  return true;
-}
-
-}  // namespace spec
 
 Registry& Registry::instance() {
   // The bundled workloads live in this static library; a pure

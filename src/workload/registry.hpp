@@ -9,7 +9,8 @@
 // Spec grammar:  <name>[:<arg>[,<arg>...]]
 // where each <arg> is either positional (meaning defined by the workload,
 // e.g. the random read fraction) or a <key>=<value> pair. The registered
-// factory owns parsing and validation of its own args.
+// factory owns parsing and validation of its own args; the key=value
+// pairs are util::Option rows read by util::parse_options.
 
 #include <functional>
 #include <map>
@@ -65,25 +66,6 @@ class Registry {
   };
   std::map<std::string, Entry> entries_;
 };
-
-namespace spec {
-
-// Small helpers for workload spec parsers. "take_*" consume a named key
-// (so unknown leftovers can be rejected) and fail on unparsable values;
-// reject_unknown() is the parser's closing check.
-
-bool take_u64(SpecArgs& args, const std::string& key, std::uint64_t* out,
-              std::string* error);
-/// Like take_u64 but additionally rejects 0 (size-like knobs).
-bool take_size(SpecArgs& args, const std::string& key, std::size_t* out,
-               std::string* error);
-
-/// True iff no named keys remain and at most `max_positional` positional
-/// args were supplied; otherwise sets *error naming the offender.
-bool reject_unknown(const SpecArgs& args, std::size_t max_positional,
-                    std::string* error);
-
-}  // namespace spec
 
 /// Self-registration hook for workloads defined outside this library (the
 /// registrar runs at static-init time of the defining translation unit).

@@ -31,18 +31,25 @@ void SeqWrite::stream_loop(std::size_t client, std::uint64_t file_id,
       });
 }
 
+namespace {
+
+constexpr util::Option<SeqWriteOptions> kSeqWriteSpecOptions[] = {
+    {"streams", CAPES_FIELD(streams_per_client), util::at_least(1)},
+    {"seed", CAPES_FIELD(seed)},
+};
+
+}  // namespace
+
 void register_seq_write(Registry& registry) {
   registry.add(
       "seqwrite",
       "seqwrite[:streams=N][,seed=N] — concurrent sequential append "
       "streams (HPC checkpoint / surveillance, §4.3)",
-      [](lustre::Cluster& cluster, const SpecArgs& raw, std::string* error)
+      [](lustre::Cluster& cluster, const SpecArgs& args, std::string* error)
           -> std::unique_ptr<Workload> {
-        SpecArgs args = raw;
         SeqWriteOptions opts;
-        if (!spec::take_u64(args, "seed", &opts.seed, error) ||
-            !spec::take_size(args, "streams", &opts.streams_per_client, error) ||
-            !spec::reject_unknown(args, 0, error)) {
+        if (!util::parse_options(kSeqWriteSpecOptions, args, "seqwrite option",
+                                 &opts, error)) {
           return nullptr;
         }
         return std::make_unique<SeqWrite>(cluster, opts);

@@ -213,12 +213,17 @@ TEST(TransportSpec, RoundTripsThroughSpecString) {
 }
 
 TEST(MakeTransport, BuildsTheRequestedKind) {
+  // Told apart by their plans: sim with latency delivers late, while tcp
+  // (a reliable FIFO) plans like sync, on the send tick.
   TransportOptions opts;
-  EXPECT_STREQ(make_transport(opts)->name(), "sync");
-  opts.kind = TransportKind::kSim;
-  EXPECT_STREQ(make_transport(opts)->name(), "sim");
-  opts.kind = TransportKind::kTcp;
-  EXPECT_STREQ(make_transport(opts)->name(), "tcp");
+  opts.latency_ticks = 2;
+  for (const TransportKind kind :
+       {TransportKind::kSync, TransportKind::kSim, TransportKind::kTcp}) {
+    opts.kind = kind;
+    const Delivery d = make_transport(opts)->plan(1, 2, 10);
+    EXPECT_FALSE(d.dropped);
+    EXPECT_EQ(d.deliver_tick, kind == TransportKind::kSim ? 12 : 10);
+  }
 }
 
 // ---------------------------------------------------------------------------

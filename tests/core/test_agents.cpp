@@ -18,6 +18,22 @@ namespace {
 
 using testing::MockAdapter;
 
+/// Agents publish into a local sync channel; drain() hands everything due
+/// at tick t to the daemon's on_status_message.
+struct StatusWire {
+  explicit StatusWire(InterfaceDaemon& daemon) : daemon(daemon) {}
+
+  void drain(std::int64_t t) {
+    channel.drain(t, [this](bus::Message<std::vector<std::uint8_t>>& msg) {
+      daemon.on_status_message(msg.payload);
+    });
+  }
+
+  InterfaceDaemon& daemon;
+  bus::SyncTransport transport;
+  PiChannel channel{transport, 0};
+};
+
 /// One domain-less shard over the fixture's own parameter vector.
 struct DaemonFixture : public ::testing::Test {
   DaemonFixture()
@@ -39,14 +55,15 @@ struct DaemonFixture : public ::testing::Test {
   std::vector<double> values{50.0};
   rl::ReplayDb replay;
   InterfaceDaemon daemon;
+  StatusWire wire{daemon};
 };
 
 TEST_F(DaemonFixture, MonitoringAgentDeliversToReplayDb) {
-  MonitoringAgent agent(1, adapter, [this](const std::vector<std::uint8_t>& m) {
-    daemon.on_status_message(m);
-  });
+  MonitoringAgent agent(1, 1, adapter, wire.channel);
   agent.sample(0);
+  wire.drain(0);
   agent.sample(1);
+  wire.drain(1);
   EXPECT_EQ(daemon.status_messages(), 2u);
   EXPECT_EQ(daemon.decode_errors(), 0u);
   auto pis = replay.status_at(1, 1);
@@ -56,7 +73,7 @@ TEST_F(DaemonFixture, MonitoringAgentDeliversToReplayDb) {
 }
 
 TEST_F(DaemonFixture, AgentTracksBytesAndMessages) {
-  MonitoringAgent agent(0, adapter, nullptr);
+  MonitoringAgent agent(0, 0, adapter, wire.channel);
   agent.sample(0);
   agent.sample(1);
   EXPECT_EQ(agent.messages_sent(), 2u);
@@ -66,12 +83,11 @@ TEST_F(DaemonFixture, AgentTracksBytesAndMessages) {
 TEST_F(DaemonFixture, AllAgentsShareOneDaemon) {
   std::vector<std::unique_ptr<MonitoringAgent>> agents;
   for (std::size_t n = 0; n < 3; ++n) {
-    agents.push_back(std::make_unique<MonitoringAgent>(
-        n, adapter, [this](const std::vector<std::uint8_t>& m) {
-          daemon.on_status_message(m);
-        }));
+    agents.push_back(
+        std::make_unique<MonitoringAgent>(n, n, adapter, wire.channel));
   }
   for (auto& a : agents) a->sample(0);
+  wire.drain(0);
   for (std::size_t n = 0; n < 3; ++n) {
     EXPECT_TRUE(replay.status_at(0, n).has_value()) << n;
   }
@@ -162,11 +178,10 @@ TEST_F(DaemonFixture, TruncatedPayloadCounted) {
 }
 
 TEST_F(DaemonFixture, DecodeErrorsDoNotPoisonLaterMessages) {
-  MonitoringAgent agent(2, adapter, [this](const std::vector<std::uint8_t>& m) {
-    daemon.on_status_message(m);
-  });
+  MonitoringAgent agent(2, 2, adapter, wire.channel);
   daemon.on_status_message({0xFF, 0xFF, 0xFF, 0xFF, 0xFF});
   agent.sample(0);
+  wire.drain(0);
   EXPECT_EQ(daemon.decode_errors(), 1u);
   EXPECT_TRUE(replay.status_at(0, 2).has_value());
 }
@@ -184,7 +199,8 @@ struct ShardedDaemonFixture : public ::testing::Test {
         domain_a(0, "", adapter_a, throughput_objective(), 0, 1, 0),
         domain_b(1, "", adapter_b, throughput_objective(), 2, 3, 1),
         replay(make_replay_options(), nullptr),
-        daemon(replay, {&domain_a, &domain_b}, 4) {}
+        daemon(replay, {domain_shard(domain_a), domain_shard(domain_b)}, 5,
+               4) {}
 
   static rl::ReplayDbOptions make_replay_options() {
     rl::ReplayDbOptions o;
@@ -200,15 +216,14 @@ struct ShardedDaemonFixture : public ::testing::Test {
   ControlDomain domain_b;
   rl::ReplayDb replay;
   InterfaceDaemon daemon;
+  StatusWire wire{daemon};
 };
 
 TEST_F(ShardedDaemonFixture, RoutesStatusByGlobalNode) {
   // A monitoring agent for domain b's local node 1 ships as global node 3.
-  MonitoringAgent agent(1, 3, adapter_b,
-                        [this](const std::vector<std::uint8_t>& m) {
-                          daemon.on_status_message(m);
-                        });
+  MonitoringAgent agent(1, 3, adapter_b, wire.channel);
   agent.sample(0);
+  wire.drain(0);
   EXPECT_EQ(daemon.decode_errors(), 0u);
   auto pis = replay.status_at(0, 3);
   ASSERT_TRUE(pis.has_value());
@@ -292,7 +307,8 @@ struct TransportedDaemonFixture : public ::testing::Test {
   void wire(const bus::TransportOptions& topts) {
     transport = bus::make_transport(topts);
     daemon = std::make_unique<InterfaceDaemon>(
-        replay, std::vector<ControlDomain*>{&domain}, 4, transport.get());
+        replay, std::vector<DaemonShard>{domain_shard(domain)}, 2, 4,
+        transport.get());
     for (std::size_t n = 0; n < 2; ++n) {
       agents.push_back(std::make_unique<MonitoringAgent>(
           n, n, adapter, *daemon->inbox()));

@@ -95,6 +95,21 @@ TEST_F(RegistryTest, UnknownOrMalformedArgsFail) {
   EXPECT_EQ(registry.create("random:seed=", cluster, &error), nullptr);
 }
 
+TEST_F(RegistryTest, SpecKeysAreCheckedByTheirRows) {
+  std::string error;
+  // The read fraction stays positional.
+  EXPECT_NE(registry.create("random:0.3", cluster, &error), nullptr) << error;
+  EXPECT_EQ(registry.create("random:2", cluster, &error), nullptr);
+  EXPECT_NE(error.find("'2'"), std::string::npos) << error;
+  EXPECT_EQ(registry.create("random:0.5,threads=0", cluster, &error), nullptr);
+  EXPECT_NE(error.find("threads must be an integer >= 1, got '0'"),
+            std::string::npos)
+      << error;
+  EXPECT_EQ(registry.create("fileserver:bogus=1", cluster, &error), nullptr);
+  EXPECT_NE(error.find("unknown fileserver option 'bogus'"), std::string::npos)
+      << error;
+}
+
 TEST(RegistrySpecArgs, SplitsPositionalAndNamed) {
   SpecArgs args;
   std::string error;

@@ -2,23 +2,23 @@
 // of the distributed control plane (§3.3's deployment: Monitoring Agents
 // feed a central daemon that hosts the Replay DB and the DRL brain).
 //
-// The daemon listens on a TCP endpoint, accepts one capes_agentd
-// connection, and runs a core::BrainService session over it: the entire
-// run topology (workload meta, per-domain action spaces) arrives in the
-// client's Hello, exactly the way a capture file's header rebuilds a run
-// in capes_replay — the daemon needs no workload flags of its own.
+// The daemon listens on a TCP endpoint, accepts one agent connection
+// (capes_run --transport=tcp:host=H,port=N), and runs a
+// core::BrainService session over it: the entire run topology (workload
+// meta, per-domain action spaces) arrives in the client's Hello, exactly
+// the way a capture file's header rebuilds a run in capes_replay — the
+// daemon needs no workload flags of its own.
 // With --port=0 the kernel picks an ephemeral port and the daemon prints
 // it on stdout (flushed before accepting), so scripts can launch the
 // pair without coordinating port numbers.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "core/brain_service.hpp"
 #include "net/endpoint.hpp"
 #include "net/socket.hpp"
-#include "util/parse.hpp"
+#include "util/options.hpp"
 
 using namespace capes;
 
@@ -33,83 +33,51 @@ struct Args {
   /// Declare a silent peer dead after this long (heartbeats keep a
   /// healthy but idle link well under it).
   std::int64_t idle_timeout_ms = 30000;
+  bool help = false;
 };
 
-using util::parse_flag;
-
-enum class ParseOutcome { kOk, kError, kHelp };
-
-ParseOutcome parse_args(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (parse_flag(argv[i], "--host", &value)) {
-      args->host = value;
-    } else if (parse_flag(argv[i], "--port", &value)) {
-      std::int64_t port = 0;
-      if (!util::parse_i64(value, &port) || port < 0 || port > 65535) {
-        std::fprintf(stderr, "--port must be in [0, 65535], got '%s'\n",
-                     value.c_str());
-        return ParseOutcome::kError;
-      }
-      args->port = port;
-    } else if (parse_flag(argv[i], "--accept-timeout-ms", &value)) {
-      if (!util::parse_i64(value, &args->accept_timeout_ms)) {
-        std::fprintf(stderr, "invalid value for --accept-timeout-ms: '%s'\n",
-                     value.c_str());
-        return ParseOutcome::kError;
-      }
-    } else if (parse_flag(argv[i], "--idle-timeout-ms", &value)) {
-      if (!util::parse_i64(value, &args->idle_timeout_ms) ||
-          args->idle_timeout_ms < 0) {
-        std::fprintf(stderr, "--idle-timeout-ms must be >= 0, got '%s'\n",
-                     value.c_str());
-        return ParseOutcome::kError;
-      }
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      return ParseOutcome::kHelp;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return ParseOutcome::kError;
-    }
-  }
-  return ParseOutcome::kOk;
-}
+constexpr util::Option<Args> kFlags[] = {
+    {.key = "--host", .field = CAPES_FIELD(host), .form = "ADDR"},
+    {"--port", CAPES_FIELD(port), {.lo = 0, .hi = 65535}},
+    {"--accept-timeout-ms", CAPES_FIELD(accept_timeout_ms)},
+    {"--idle-timeout-ms", CAPES_FIELD(idle_timeout_ms), util::at_least(0)},
+    {"--help", CAPES_FIELD(help)},
+};
 
 void print_usage() {
   std::printf(
-      "usage: capes_daemond [--host=ADDR] [--port=N] [--accept-timeout-ms=N]\n"
-      "                     [--idle-timeout-ms=N] [--help]\n"
-      "\n"
+      "%s\n"
       "Hosts the Interface Daemon + DRL Engine half of a distributed CAPES\n"
       "run: listens on --host:--port (default 127.0.0.1:4890), accepts one\n"
-      "capes_agentd connection, and serves its training session — the run\n"
-      "topology arrives in the agent's handshake, so the daemon needs no\n"
-      "workload configuration of its own. --port=0 lets the kernel pick an\n"
-      "ephemeral port; the daemon prints 'listening on HOST:PORT' (flushed)\n"
-      "before accepting, so scripts can read the port back. The process\n"
-      "exits after the session: 0 on a clean agent Bye or link death (loss\n"
-      "is the agent's to report), 1 on a setup or protocol error.\n"
+      "agent connection (capes_run --transport=tcp:host=H,port=N), and\n"
+      "serves its training session — the run topology arrives in the\n"
+      "agent's handshake, so the daemon needs no workload configuration of\n"
+      "its own. --port=0 lets the kernel pick an ephemeral port; the daemon\n"
+      "prints 'listening on HOST:PORT' (flushed) before accepting, so\n"
+      "scripts can read the port back. The process exits after the\n"
+      "session: 0 on a clean agent Bye or link death (loss is the agent's\n"
+      "to report), 1 on a setup or protocol error.\n"
       "--accept-timeout-ms bounds the wait for the agent (-1 = forever);\n"
       "--idle-timeout-ms declares a silent peer dead (0 = never).\n"
-      "See docs/CONFIG.md for the distributed-run reference.\n");
+      "See docs/CONFIG.md for the distributed-run reference.\n",
+      util::flag_usage<Args>(kFlags, "capes_daemond").c_str());
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Args args;
-  switch (parse_args(argc, argv, &args)) {
-    case ParseOutcome::kOk:
-      break;
-    case ParseOutcome::kHelp:
-      print_usage();
-      return 0;
-    case ParseOutcome::kError:
-      print_usage();
-      return 2;
+  std::string error;
+  if (!util::parse_flags(kFlags, argc, argv, &args, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    print_usage();
+    return 2;
+  }
+  if (args.help) {
+    print_usage();
+    return 0;
   }
 
-  std::string error;
   const int listen_fd = net::tcp_listen(
       args.host, static_cast<std::uint16_t>(args.port), &error);
   if (listen_fd < 0) {

@@ -13,13 +13,12 @@
 // records exits nonzero.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "core/config_io.hpp"
 #include "core/trace_replay.hpp"
 #include "util/config.hpp"
-#include "util/parse.hpp"
+#include "util/options.hpp"
 
 using namespace capes;
 
@@ -30,59 +29,34 @@ struct Args {
   core::ReplaySpeed speed = core::ReplaySpeed::kMax;
   std::string conf;  ///< optional overlay for the (first) replay
   std::string diff;  ///< second conf: replay twice and compare phases
+  bool help = false;
 };
 
-enum class ParseOutcome { kOk, kError, kHelp };
-
-ParseOutcome parse_args(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (util::parse_flag(argv[i], "--capture", &value)) {
-      args->capture = value;
-    } else if (util::parse_flag(argv[i], "--speed", &value)) {
-      if (!core::parse_replay_speed(value, &args->speed)) {
-        std::fprintf(stderr,
-                     "invalid value for --speed: '%s' (expected realtime, "
-                     "fast or max)\n",
-                     value.c_str());
-        return ParseOutcome::kError;
-      }
-    } else if (util::parse_flag(argv[i], "--conf", &value)) {
-      args->conf = value;
-    } else if (util::parse_flag(argv[i], "--diff", &value)) {
-      args->diff = value;
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      return ParseOutcome::kHelp;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return ParseOutcome::kError;
-    }
-  }
-  if (args->capture.empty()) {
-    std::fprintf(stderr, "--capture=FILE is required\n");
-    return ParseOutcome::kError;
-  }
-  return ParseOutcome::kOk;
-}
+constexpr util::Option<Args> kFlags[] = {
+    {.key = "--capture", .field = CAPES_FIELD(capture), .form = "FILE"},
+    {"--speed", CAPES_FIELD(speed), {}, core::kReplaySpeedNames},
+    {.key = "--conf", .field = CAPES_FIELD(conf), .form = "FILE"},
+    {.key = "--diff", .field = CAPES_FIELD(diff), .form = "FILE"},
+    {"--help", CAPES_FIELD(help)},
+};
 
 void print_usage() {
   std::printf(
-      "usage: capes_replay --capture=FILE [--speed=realtime|fast|max]\n"
-      "                    [--conf=FILE] [--diff=FILE] [--help]\n"
-      "\n"
+      "%s\n"
       "Replays a capes_run --capture= flight recording into a fresh\n"
       "Interface Daemon + DRL Engine: the traced PI bytes hit fresh\n"
       "decoders in delivery order and training-phase action records drive\n"
-      "real train steps (train-from-trace). At --speed=max (the default) a\n"
-      "seeded capture reproduces the live run's training fingerprint\n"
-      "bit-for-bit; realtime paces one sampling tick per trace tick and\n"
-      "fast runs 20x that.\n"
+      "real train steps (train-from-trace). --capture is required. At\n"
+      "--speed=max (the default) a seeded capture reproduces the live\n"
+      "run's training fingerprint bit-for-bit; realtime paces one sampling\n"
+      "tick per trace tick and fast runs 20x that.\n"
       "--conf=FILE overlays engine/replay hyperparameters (core conf keys)\n"
       "onto the traced configuration — same traffic, different tuner.\n"
       "--diff=FILE replays twice, the second time under FILE's keys, and\n"
       "prints the per-phase outcomes side by side.\n"
       "Torn/corrupt tails truncate at the last valid record (reported);\n"
-      "only a capture with zero valid records fails.\n");
+      "only a capture with zero valid records fails.\n",
+      util::flag_usage<Args>(kFlags, "capes_replay").c_str());
 }
 
 bool load_overlay(const std::string& path, core::CapesOptions* out) {
@@ -93,15 +67,6 @@ bool load_overlay(const std::string& path, core::CapesOptions* out) {
   }
   *out = core::capes_options_from_config(cfg);
   return true;
-}
-
-const char* speed_name(core::ReplaySpeed speed) {
-  switch (speed) {
-    case core::ReplaySpeed::kRealtime: return "realtime";
-    case core::ReplaySpeed::kFast: return "fast";
-    case core::ReplaySpeed::kMax: break;
-  }
-  return "max";
 }
 
 void print_report(const core::TraceReplayReport& report) {
@@ -179,15 +144,17 @@ bool replay_once(const Args& args, const core::CapesOptions* overlay,
 
 int main(int argc, char** argv) {
   Args args;
-  switch (parse_args(argc, argv, &args)) {
-    case ParseOutcome::kOk:
-      break;
-    case ParseOutcome::kHelp:
-      print_usage();
-      return 0;
-    case ParseOutcome::kError:
-      print_usage();
-      return 2;
+  std::string error;
+  if (!util::parse_flags(kFlags, argc, argv, &args, &error) ||
+      (!args.help && args.capture.empty())) {
+    std::fprintf(stderr, "%s\n",
+                 error.empty() ? "--capture=FILE is required" : error.c_str());
+    print_usage();
+    return 2;
+  }
+  if (args.help) {
+    print_usage();
+    return 0;
   }
 
   core::CapesOptions conf_overlay;
@@ -203,7 +170,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("replayed %s at %s speed%s\n", args.capture.c_str(),
-              speed_name(args.speed),
+              core::kReplaySpeedNames[static_cast<int>(args.speed)].data(),
               have_conf ? (" with overlay " + args.conf).c_str() : "");
   if (report.read_stats.dropped_records > 0) {
     std::printf(

@@ -5,20 +5,24 @@
 // evaluation workflow (train -> baseline -> tuned) through the
 // core::Experiment facade, and optionally dump per-tick CSVs and a model
 // checkpoint. `--list-workloads` prints every registered workload with
-// its spec syntax.
+// its spec syntax. With --transport=tcp:host=H,port=N it is the agent
+// process of a distributed run (§3.3): the cluster and its agents stay
+// here, the Interface Daemon + DRL Engine run in capes_daemond.
+//
+// Every flag is a row of kFlags: util::parse_flags reads them and
+// util::flag_usage prints the synopsis from the same rows.
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
 
 #include "bus/transport.hpp"
 #include "core/experiment.hpp"
+#include "core/remote_brain.hpp"
 #include "sim/fault.hpp"
 #include "sim/shard_planner.hpp"
 #include "util/options.hpp"
-#include "util/parse.hpp"
 #include "workload/registry.hpp"
 
 using namespace capes;
@@ -31,229 +35,75 @@ struct Args {
   std::vector<std::string> workloads;
   /// --clusters=N replicates a single workload spec into N domains.
   std::int64_t clusters = 1;
-  /// --threads=N: worker threads for the per-tick hot path (0 = off).
-  /// Unset means "the preset/conf decides", so an explicit --threads=0
-  /// can force the single-threaded path over a conf file's setting.
+  // Unset optionals mean "the preset/conf decides"; an explicit flag wins
+  // over a conf file (so --threads=0 can force the single-threaded path).
   std::optional<std::int64_t> threads;
-  /// --transport=sync|sim[:latency_ticks=..,jitter=..,drop=..,seed=..].
-  /// Unset means "the preset/conf decides" (sync by default).
-  std::optional<std::string> transport;
-  /// --learner=sync|async: where DRL training steps run. Unset means
-  /// "the preset/conf decides" (sync by default).
-  std::optional<std::string> learner;
-  /// --sim-shards=auto|N: per-domain simulator event queues (0 = auto =
-  /// one per control domain). Unset means "the preset/conf decides"
-  /// (the serial single-queue loop by default).
+  /// 0 = auto = one event queue per control domain.
   std::optional<std::size_t> sim_shards;
-  /// --shard-plan=static|rate: how control domains are packed onto the
-  /// simulator shards. Unset means "the preset/conf decides" (static
-  /// round-robin by default).
   std::optional<std::string> shard_plan;
-  /// --faults=off|faults[:ost_crash=..,...]: deterministic fault
-  /// injection. Unset means "the preset/conf decides" (off by default).
   std::optional<std::string> faults;
+  std::optional<std::string> transport;
+  std::optional<std::string> learner;
   std::string conf;
+  std::int64_t train_ticks = -1;  ///< -1 = the preset default
+  std::int64_t eval_ticks = -1;
   std::string csv_prefix;
   std::string model_out;
   std::string model_in;
-  /// --capture=FILE: flight-record every daemon-boundary message for
-  /// offline replay with capes_replay ("" = off).
   std::string capture;
-  std::int64_t train_ticks = -1;
-  std::int64_t eval_ticks = -1;
-  /// Unset means "the preset/conf decides"; an explicit --seed wins over
-  /// a conf file's seed keys (ExperimentBuilder::seed semantics).
   std::optional<std::uint64_t> seed;
   bool monitor_servers = false;
   bool tune_write_cache = false;
   bool list_workloads = false;
+  bool help = false;
 };
 
-using util::parse_flag;
+constexpr std::string_view kAuto[] = {"auto"};
 
-/// Strict numeric flag: "--train-ticks=abc" is an error, not 0.
-template <typename T, bool (*Parse)(std::string_view, T*)>
-bool parse_numeric_flag(const char* flag_name, const std::string& value,
-                        T* out) {
-  if (Parse(value, out)) return true;
-  std::fprintf(stderr, "invalid value for %s: '%s'\n", flag_name,
-               value.c_str());
-  return false;
-}
-
-/// Tick-count flag: strict and non-negative (-1 stays an internal
-/// "use the preset default" sentinel, never a user input).
-bool parse_ticks_flag(const char* flag_name, const std::string& value,
-                      std::int64_t* out) {
-  if (!parse_numeric_flag<std::int64_t, util::parse_i64>(flag_name, value, out))
-    return false;
-  if (*out < 0) {
-    std::fprintf(stderr, "%s must be >= 0, got %s\n", flag_name, value.c_str());
-    return false;
-  }
-  return true;
-}
-
-enum class ParseOutcome { kOk, kError, kHelp };
-
-ParseOutcome parse_args(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (parse_flag(argv[i], "--workload", &value)) {
-      args->workloads.push_back(value);
-    } else if (parse_flag(argv[i], "--clusters", &value)) {
-      if (!parse_numeric_flag<std::int64_t, util::parse_i64>("--clusters",
-                                                             value,
-                                                             &args->clusters))
-        return ParseOutcome::kError;
-      if (args->clusters < 1) {
-        std::fprintf(stderr, "--clusters must be >= 1, got %s\n",
-                     value.c_str());
-        return ParseOutcome::kError;
-      }
-    } else if (parse_flag(argv[i], "--threads", &value)) {
-      std::int64_t threads = 0;
-      if (!parse_numeric_flag<std::int64_t, util::parse_i64>("--threads",
-                                                             value, &threads))
-        return ParseOutcome::kError;
-      if (threads < 0) {
-        std::fprintf(stderr, "--threads must be >= 0, got %s\n",
-                     value.c_str());
-        return ParseOutcome::kError;
-      }
-      args->threads = threads;
-    } else if (parse_flag(argv[i], "--transport", &value)) {
-      // Validate eagerly so an unknown scheme or malformed option list is
-      // a usage error (exit 2) before any experiment work starts.
-      bus::TransportOptions parsed;
-      std::string transport_error;
-      if (!bus::parse_transport_spec(value, &parsed, &transport_error)) {
-        std::fprintf(stderr, "invalid value for --transport: %s\n",
-                     transport_error.c_str());
-        return ParseOutcome::kError;
-      }
-      args->transport = value;
-    } else if (parse_flag(argv[i], "--learner", &value)) {
-      if (!util::find_name(core::kLearnerModeNames, value)) {
-        std::fprintf(stderr,
-                     "invalid value for --learner: '%s' (expected %s)\n",
-                     value.c_str(),
-                     util::join_names(core::kLearnerModeNames).c_str());
-        return ParseOutcome::kError;
-      }
-      args->learner = value;
-    } else if (parse_flag(argv[i], "--sim-shards", &value)) {
-      if (value == "auto") {
-        args->sim_shards = 0;  // ExperimentBuilder: one shard per domain
-      } else {
-        std::uint64_t shards = 0;
-        if (!parse_numeric_flag<std::uint64_t, util::parse_u64>(
-                "--sim-shards", value, &shards))
-          return ParseOutcome::kError;
-        if (shards < 1) {
-          std::fprintf(stderr, "--sim-shards must be >= 1 or 'auto', got %s\n",
-                       value.c_str());
-          return ParseOutcome::kError;
-        }
-        args->sim_shards = static_cast<std::size_t>(shards);
-      }
-    } else if (parse_flag(argv[i], "--shard-plan", &value)) {
-      sim::ShardPlanKind kind;
-      std::string plan_error;
-      if (!sim::parse_shard_plan_spec(value, &kind, &plan_error)) {
-        std::fprintf(stderr, "invalid value for --shard-plan: %s\n",
-                     plan_error.c_str());
-        return ParseOutcome::kError;
-      }
-      args->shard_plan = value;
-    } else if (parse_flag(argv[i], "--faults", &value)) {
-      // Validate eagerly, like --transport: an unknown fault kind or an
-      // out-of-range rate is a usage error (exit 2) before any
-      // experiment work starts.
-      sim::FaultPlan parsed;
-      std::string fault_error;
-      if (!sim::parse_fault_spec(value, &parsed, &fault_error)) {
-        std::fprintf(stderr, "invalid value for --faults: %s\n",
-                     fault_error.c_str());
-        return ParseOutcome::kError;
-      }
-      args->faults = value;
-    } else if (parse_flag(argv[i], "--conf", &value)) {
-      args->conf = value;
-    } else if (parse_flag(argv[i], "--csv", &value)) {
-      args->csv_prefix = value;
-    } else if (parse_flag(argv[i], "--capture", &value)) {
-      if (value.empty()) {
-        std::fprintf(stderr, "--capture needs a file path\n");
-        return ParseOutcome::kError;
-      }
-      args->capture = value;
-    } else if (parse_flag(argv[i], "--model", &value)) {
-      args->model_out = value;
-    } else if (parse_flag(argv[i], "--load-model", &value)) {
-      args->model_in = value;
-    } else if (parse_flag(argv[i], "--train-ticks", &value)) {
-      if (!parse_ticks_flag("--train-ticks", value, &args->train_ticks))
-        return ParseOutcome::kError;
-    } else if (parse_flag(argv[i], "--eval-ticks", &value)) {
-      if (!parse_ticks_flag("--eval-ticks", value, &args->eval_ticks))
-        return ParseOutcome::kError;
-    } else if (parse_flag(argv[i], "--seed", &value)) {
-      std::uint64_t seed = 0;
-      if (!parse_numeric_flag<std::uint64_t, util::parse_u64>("--seed", value,
-                                                              &seed))
-        return ParseOutcome::kError;
-      args->seed = seed;
-    } else if (std::strcmp(argv[i], "--monitor-servers") == 0) {
-      args->monitor_servers = true;
-    } else if (std::strcmp(argv[i], "--tune-write-cache") == 0) {
-      args->tune_write_cache = true;
-    } else if (std::strcmp(argv[i], "--list-workloads") == 0) {
-      args->list_workloads = true;
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      return ParseOutcome::kHelp;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return ParseOutcome::kError;
-    }
-  }
-  return ParseOutcome::kOk;
-}
-
-std::string registered_names_joined() {
-  std::string joined;
-  for (const auto& name : workload::Registry::instance().names()) {
-    if (!joined.empty()) joined += '|';
-    joined += name;
-  }
-  return joined;
-}
+// Specs with a grammar of their own are checked here too, so a bad one is
+// a usage error (exit 2) before any experiment work starts.
+constexpr util::Option<Args> kFlags[] = {
+    {.key = "--workload", .field = CAPES_FIELD(workloads), .form = "SPEC"},
+    {"--clusters", CAPES_FIELD(clusters), util::at_least(1)},
+    {"--threads", CAPES_FIELD(threads), util::at_least(0)},
+    {.key = "--sim-shards",
+     .field = CAPES_FIELD(sim_shards),
+     .range = util::at_least(1),
+     .names = kAuto,
+     .form = "auto|N"},
+    {"--shard-plan", CAPES_FIELD(shard_plan), {}, sim::kShardPlanNames},
+    {.key = "--faults",
+     .field = CAPES_FIELD(faults),
+     .form = "off|faults[:OPTS]",
+     .check = util::parses_as<sim::FaultPlan, sim::parse_fault_spec>},
+    {.key = "--transport",
+     .field = CAPES_FIELD(transport),
+     .form = "sync|sim[:OPTS]|tcp:OPTS",
+     .check = util::parses_as<bus::TransportOptions, bus::parse_transport_spec>},
+    {"--learner", CAPES_FIELD(learner), {}, core::kLearnerModeNames},
+    {.key = "--conf", .field = CAPES_FIELD(conf), .form = "FILE"},
+    {"--train-ticks", CAPES_FIELD(train_ticks), util::at_least(0)},
+    {"--eval-ticks", CAPES_FIELD(eval_ticks), util::at_least(0)},
+    {.key = "--csv", .field = CAPES_FIELD(csv_prefix), .form = "PREFIX"},
+    {.key = "--model", .field = CAPES_FIELD(model_out), .form = "FILE"},
+    {.key = "--load-model", .field = CAPES_FIELD(model_in), .form = "FILE"},
+    {.key = "--capture", .field = CAPES_FIELD(capture), .form = "FILE"},
+    {"--seed", CAPES_FIELD(seed)},
+    {"--monitor-servers", CAPES_FIELD(monitor_servers)},
+    {"--tune-write-cache", CAPES_FIELD(tune_write_cache)},
+    {"--list-workloads", CAPES_FIELD(list_workloads)},
+    {"--help", CAPES_FIELD(help)},
+};
 
 void print_usage() {
   std::printf(
-      "usage: capes_run [--workload=%s (with optional :spec args)]...\n"
-      "                 [--clusters=N] [--threads=N] [--sim-shards=auto|N]\n"
-      "                 [--shard-plan=static|rate]\n"
-      "                 [--faults=off|faults[:ost_crash=P,restart_ticks=N,"
-      "straggler=P,\n"
-      "                           slow_factor=X,straggler_ticks=N,partition=P,"
-      "\n"
-      "                           partition_ticks=N,seed=N]]\n"
-      "                 [--transport=sync|sim[:latency_ticks=N,jitter=X,"
-      "drop=P,seed=N]\n"
-      "                              |tcp:host=H,port=N[,connect_timeout_ms=N]]"
-      "\n"
-      "                 [--learner=sync|async]\n"
-      "                 [--conf=FILE] [--train-ticks=N] [--eval-ticks=N]\n"
-      "                 [--csv=PREFIX] [--model=FILE] [--load-model=FILE]\n"
-      "                 [--capture=FILE]\n"
-      "                 [--seed=N] [--monitor-servers] [--tune-write-cache]\n"
-      "                 [--list-workloads] [--help]\n"
-      "\n"
-      "Repeat --workload to tune several clusters (one control domain each)\n"
-      "with one shared DRL brain, or use --clusters=N to replicate a single\n"
-      "spec across N identically configured clusters. --threads=N fans the\n"
-      "per-tick sampling/training hot path out over N worker threads.\n"
+      "%s\n"
+      "Each --workload SPEC names a registered workload with optional\n"
+      ":spec args (--list-workloads prints them). Repeat --workload to tune\n"
+      "several clusters (one control domain each) with one shared DRL\n"
+      "brain, or use --clusters=N to replicate a single spec across N\n"
+      "identically configured clusters. --threads=N fans the per-tick\n"
+      "sampling/training hot path out over N worker threads.\n"
       "--sim-shards shards the simulator event loop itself: auto gives\n"
       "every control domain its own event queue, N caps the queue count\n"
       "(1 = the serial loop), and the queues advance concurrently on the\n"
@@ -270,9 +120,12 @@ void print_usage() {
       "control network with seeded latency/jitter/drop, e.g.\n"
       "  --transport=sim:latency_ticks=2,jitter=2,drop=0.05,seed=7\n"
       "(drop in [0,1); latency_ticks/jitter >= 0; seed pins the network\n"
-      "realization independently of --seed). --transport=tcp connects the\n"
-      "agents to a separate capes_daemond process hosting the DRL brain\n"
-      "(capes_agentd wraps this spec behind a --daemon=HOST:PORT flag).\n"
+      "realization independently of --seed). --transport=tcp makes this\n"
+      "process the agent side of a distributed run: the DRL brain lives in\n"
+      "a separate capes_daemond, e.g.\n"
+      "  --transport=tcp:host=127.0.0.1,port=4890,connect_timeout_ms=5000\n"
+      "(port in [1, 65535]; the connection retries with capped backoff for\n"
+      "connect_timeout_ms, so either process may start first).\n"
       "--faults injects deterministic failures into the simulated target\n"
       "systems: ost_crash crashes an OST per tick with probability P (it\n"
       "restarts after restart_ticks; queued and in-flight I/O is rejected\n"
@@ -294,7 +147,7 @@ void print_usage() {
       "status, actions, broadcasts) plus rewards and phase markers; replay\n"
       "the capture offline with capes_replay (conf: capes.capture.path).\n"
       "See docs/CONFIG.md for the full flag and conf-key reference.\n",
-      registered_names_joined().c_str());
+      util::flag_usage<Args>(kFlags, "capes_run").c_str());
 }
 
 void print_workloads() {
@@ -310,15 +163,15 @@ void print_workloads() {
 
 int main(int argc, char** argv) {
   Args args;
-  switch (parse_args(argc, argv, &args)) {
-    case ParseOutcome::kOk:
-      break;
-    case ParseOutcome::kHelp:
-      print_usage();
-      return 0;
-    case ParseOutcome::kError:
-      print_usage();
-      return 2;
+  std::string error;
+  if (!util::parse_flags(kFlags, argc, argv, &args, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    print_usage();
+    return 2;
+  }
+  if (args.help) {
+    print_usage();
+    return 0;
   }
   if (args.list_workloads) {
     print_workloads();
@@ -375,7 +228,6 @@ int main(int argc, char** argv) {
     });
   }
 
-  std::string error;
   auto experiment = builder.build(&error);
   if (!experiment) {
     std::fprintf(stderr, "%s\n", error.c_str());
@@ -497,8 +349,12 @@ int main(int argc, char** argv) {
     for (const auto& phase : report.phases) {
       dropped += phase.result.messages_dropped;
     }
-    std::printf("control network (tcp): %llu messages dropped\n",
-                static_cast<unsigned long long>(dropped));
+    // Anything shed at the endpoint or lost to a dead link counts as
+    // dropped; a healthy loopback run prints zeros and "alive".
+    const core::BrainClient* client = experiment->system().brain_client();
+    std::printf("control network (tcp): %llu messages dropped, link %s\n",
+                static_cast<unsigned long long>(dropped),
+                client != nullptr && client->alive() ? "alive" : "dead");
   }
 
   // Always printed: the determinism handle the capture/replay round trip

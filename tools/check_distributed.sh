@@ -2,11 +2,11 @@
 # End-to-end smoke of the distributed control plane, run from CTest and
 # every CI leg (including TSan):
 #
-#   check_distributed.sh <capes_daemond> <capes_agentd> <capes_run> <workdir>
+#   check_distributed.sh <capes_daemond> <capes_run> <workdir>
 #
 # 1. Equivalence: launch capes_daemond on an ephemeral loopback port,
 #    drive a short three-cluster train/baseline/tuned workflow through
-#    capes_agentd, and require the training fingerprint, the per-phase
+#    the agent (capes_run --transport=tcp:), and require the training fingerprint, the per-phase
 #    CSVs AND the flight-recorder capture to be byte-identical to an
 #    in-process `capes_run --transport=sync` run at the same seed (the
 #    tcp: wire must be a transparent brain extension, routing each action
@@ -17,9 +17,8 @@ set -euo pipefail
 
 # Absolute paths: the script cds into the scratch dir before launching.
 DAEMOND="$(readlink -f "$1")"
-AGENTD="$(readlink -f "$2")"
-CAPES_RUN="$(readlink -f "$3")"
-WORK="$4"
+CAPES_RUN="$(readlink -f "$2")"
+WORK="$3"
 
 RUN_ARGS="--workload=random:0.2 --workload=fileserver --workload=seqwrite \
   --train-ticks=40 --eval-ticks=30 --seed=1"
@@ -49,8 +48,8 @@ DAEMON_PID=$!
 PORT=$(wait_for_port daemon.log)
 
 # shellcheck disable=SC2086
-"$AGENTD" --daemon=127.0.0.1:"$PORT" $RUN_ARGS --csv=tcp --capture=tcp.cap \
-  | tee agent.log
+"$CAPES_RUN" --transport=tcp:host=127.0.0.1,port="$PORT" $RUN_ARGS \
+  --csv=tcp --capture=tcp.cap | tee agent.log
 wait "$DAEMON_PID"
 cat daemon.log
 
@@ -78,7 +77,7 @@ cmp tcp.cap sync.cap || {
   echo "FAIL: agent-side capture differs from the in-process sync capture" >&2
   exit 1
 }
-if ! grep -q "control network (tcp): 0 messages dropped" agent.log; then
+if ! grep -q "control network (tcp): 0 messages dropped, link alive" agent.log; then
   echo "FAIL: loopback run reported message loss" >&2
   exit 1
 fi
@@ -87,7 +86,7 @@ echo "== robustness: kill -9 the agent mid-run, daemon must exit =="
 "$DAEMOND" --port=0 --idle-timeout-ms=5000 > daemon_kill.log 2>&1 &
 DAEMON_PID=$!
 PORT=$(wait_for_port daemon_kill.log)
-"$AGENTD" --daemon=127.0.0.1:"$PORT" --workload=random:0.2 \
+"$CAPES_RUN" --transport=tcp:host=127.0.0.1,port="$PORT" --workload=random:0.2 \
   --train-ticks=100000 --eval-ticks=10 --seed=1 > agent_kill.log 2>&1 &
 AGENT_PID=$!
 # Let the session get well into the training phase before the kill.
