@@ -15,7 +15,8 @@
 // [u32 payload_len][u32 crc][u8 type][i64 tick][u64 topic][u64 sender]
 // [payload]), with `type` a RecordType. A torn or corrupt record is
 // detected by its CRC or its length and everything from it onward is
-// dropped during replay — validate-before-use, like the WAL.
+// dropped during replay (net::FrameFileReader, the reader of every file
+// of frames).
 
 #include <cstdint>
 

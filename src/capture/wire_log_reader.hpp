@@ -1,12 +1,8 @@
 #pragma once
-// Validate-before-use reader for flight-recorder captures. Mirrors the
-// WAL recovery contract (src/waldb/wal.cpp): every record's CRC is
-// checked before its payload is surfaced, and the first torn or corrupt
-// frame truncates the capture there — everything before it replays,
-// everything from it onward is counted and reported, never delivered.
-// Records go through net::FrameParser, fed from the file in fixed read
-// chunks, so the reader holds one chunk plus one frame whatever the
-// file's size, and no length from the file is used before it is checked.
+// Validate-before-use reader for flight-recorder captures: the file
+// header is checked here, and the records behind it are read by
+// net::FrameFileReader, which checks every CRC before a payload is
+// surfaced and ends the capture at the first torn or corrupt frame.
 
 #include <cstdint>
 #include <cstdio>
@@ -19,13 +15,7 @@
 
 namespace capes::capture {
 
-struct ReadStats {
-  std::uint64_t valid_records = 0;
-  /// Frames lost to a torn/corrupt tail. Counted by walking the length
-  /// prefixes of the dead region, so for genuinely scrambled bytes this
-  /// is an estimate (always >= 1 when any tail was cut).
-  std::uint64_t truncated_records = 0;
-  std::uint64_t truncated_bytes = 0;
+struct ReadStats : net::FrameReadStats {
   /// Records the live run's capture ring shed (from the file header). A
   /// nonzero count means the capture is lossy and differential PI
   /// decoding may desynchronize — replay tools should warn.
@@ -44,31 +34,23 @@ class WireLogReader {
   /// Read the next valid record; `out->type` is a RecordType value.
   /// Returns false at end of capture — clean EOF or torn tail alike;
   /// stats() tells them apart.
-  bool next(net::Frame* out);
+  bool next(net::Frame* out) { return frames_.next(out); }
 
   /// True once next() has returned false because of a torn/corrupt tail
   /// (as opposed to a clean end of file).
-  bool tail_truncated() const { return tail_truncated_; }
+  bool tail_truncated() const { return frames_.tail_truncated(); }
 
-  const ReadStats& stats() const { return stats_; }
+  ReadStats stats() const { return {frames_.stats(), dropped_records_}; }
 
  private:
   struct FileCloser {
     void operator()(std::FILE* f) const { std::fclose(f); }
   };
 
-  void truncate_tail_here();
-
   std::unique_ptr<std::FILE, FileCloser> file_;
-  net::FrameParser parser_;
-  std::vector<std::uint8_t> chunk_;
+  net::FrameFileReader frames_;
   std::vector<std::uint8_t> meta_;
-  std::uint64_t file_size_ = 0;  ///< as measured by open()
-  /// File offset of the first byte not yet returned as a valid record.
-  std::uint64_t cursor_ = 0;
-  bool tail_truncated_ = false;
-  bool done_ = false;
-  ReadStats stats_;
+  std::uint64_t dropped_records_ = 0;
 };
 
 }  // namespace capes::capture

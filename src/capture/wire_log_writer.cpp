@@ -114,7 +114,6 @@ bool WireLogWriter::close() {
 
 void WireLogWriter::writer_loop() {
   std::size_t since_flush = 0;
-  frame_buf_.reserve(net::kFrameFixedBytes + opts_.payload_reserve);
   while (net::Frame* slot = queue_.take()) {
     if (!write_record(*slot)) {
       write_failed_.store(true, std::memory_order_release);
@@ -130,14 +129,13 @@ void WireLogWriter::writer_loop() {
 }
 
 bool WireLogWriter::write_record(const net::Frame& rec) {
-  if (write_failed_.load(std::memory_order_relaxed)) return false;
-  frame_buf_.clear();  // capacity retained across records
-  net::encode_frame(rec, &frame_buf_);
-  if (std::fwrite(frame_buf_.data(), 1, frame_buf_.size(), file_) !=
-      frame_buf_.size()) {
+  if (write_failed_.load(std::memory_order_relaxed) ||
+      !net::write_frame(file_, rec.type, rec.tick, rec.topic, rec.sender,
+                        rec.payload.data(), rec.payload.size())) {
     return false;
   }
-  bytes_written_.fetch_add(frame_buf_.size(), std::memory_order_relaxed);
+  bytes_written_.fetch_add(net::kFrameFixedBytes + rec.payload.size(),
+                           std::memory_order_relaxed);
   return true;
 }
 

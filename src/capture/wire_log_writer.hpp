@@ -1,7 +1,7 @@
 #pragma once
 // Asynchronous capture sink for the flight recorder. The control thread
 // calls record() at the daemon boundary; a dedicated writer thread frames
-// each record with net::encode_frame (so the CRC is computed off the
+// each record with net::write_frame (so the CRC is computed off the
 // control thread) and appends it to the capture file. Records cross
 // between the threads in a util::SlotQueue, so the warm tick path copies
 // bytes into recycled slot capacity and performs no allocation. The
@@ -96,7 +96,6 @@ class WireLogWriter {
   std::thread writer_thread_;
 
   std::vector<std::uint8_t> f64_scratch_;  ///< producer-side, recycled
-  std::vector<std::uint8_t> frame_buf_;    ///< writer-side, recycled
 
   std::atomic<std::uint64_t> records_logged_{0};
   std::atomic<std::uint64_t> records_dropped_{0};

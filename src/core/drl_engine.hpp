@@ -106,7 +106,7 @@ class DrlEngine {
   bool learner_thread_running() const { return learner_.joinable(); }
 
   /// Install the durable store for periodic learner checkpoints (waldb
-  /// table "learner", key 0, CRC-framed by the WAL like every put). Must
+  /// table "learner", key 0, one WAL frame like every put). Must
   /// outlive the engine. Null detaches.
   void set_checkpoint_store(waldb::Database* db);
 

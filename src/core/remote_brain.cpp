@@ -44,14 +44,20 @@ std::optional<HelloPayload> decode_hello(const std::vector<std::uint8_t>& blob) 
   if (!meta) return std::nullopt;
   HelloPayload hello;
   hello.meta = *meta;
+  // No count may promise more than the bytes left can hold: a domain is at
+  // least 12 bytes (offset, count), a parameter 36 (name length, 4 f64s).
   const auto num_domains = r.get_u32();
-  if (!num_domains || *num_domains == 0) return std::nullopt;
+  if (!num_domains || *num_domains == 0 || *num_domains > r.remaining() / 12) {
+    return std::nullopt;
+  }
   hello.domains.reserve(*num_domains);
   for (std::uint32_t d = 0; d < *num_domains; ++d) {
     RemoteDomain domain;
     const auto offset = r.get_u64();
     const auto num_params = r.get_u32();
-    if (!offset || !num_params) return std::nullopt;
+    if (!offset || !num_params || *num_params > r.remaining() / 36) {
+      return std::nullopt;
+    }
     domain.action_offset = *offset;
     domain.params.reserve(*num_params);
     for (std::uint32_t p = 0; p < *num_params; ++p) {

@@ -1,6 +1,6 @@
 #pragma once
-// CRC-32 (IEEE 802.3 polynomial, reflected) used by the WAL store to
-// detect torn or corrupted records during recovery.
+// CRC-32 (IEEE 802.3 polynomial, reflected) used by net's frame codec to
+// detect torn or corrupted records on sockets and in files.
 
 #include <cstddef>
 #include <cstdint>

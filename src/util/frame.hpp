@@ -1,8 +1,8 @@
 #pragma once
-// Little-endian frame field helpers shared by every length-prefixed wire
-// format in the tree (the capture log and the tcp control-network frames
-// use the same [u32 len][u32 crc][fixed][payload] framing). One encoding
-// implementation, not one per subsystem.
+// Little-endian field helpers shared by every length-prefixed format in
+// the tree: net's frame codec (tcp frames, and the records of capture,
+// WAL and snapshot files) and the file headers in front of those records.
+// One encoding implementation, not one per subsystem.
 
 #include <cstdint>
 

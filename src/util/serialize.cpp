@@ -102,7 +102,8 @@ std::optional<std::string> BinaryReader::get_string() {
 
 std::optional<std::vector<float>> BinaryReader::get_f32_vector() {
   auto n = get_u64();
-  if (!n || remaining() < *n * 4) return std::nullopt;
+  // Divide, never multiply: a forged count must not wrap past the check.
+  if (!n || *n > remaining() / 4) return std::nullopt;
   std::vector<float> v;
   v.reserve(*n);
   for (std::uint64_t i = 0; i < *n; ++i) v.push_back(*get_f32());

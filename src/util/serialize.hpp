@@ -1,7 +1,7 @@
 #pragma once
 // Little-endian binary (de)serialization helpers for model checkpoints and
-// the WAL store. All multi-byte integers are written little-endian
-// regardless of host order so checkpoints are portable.
+// control-plane payloads. All multi-byte integers are written
+// little-endian regardless of host order so checkpoints are portable.
 
 #include <cstdint>
 #include <cstring>

@@ -2,22 +2,23 @@
 
 #include <filesystem>
 
-#include "util/crc32.hpp"
 #include "util/logging.hpp"
-#include "util/serialize.hpp"
 
 namespace capes::waldb {
 
 namespace {
+// Version 1 used this magic too, so an old snapshot is named as such.
 constexpr std::uint32_t kSnapshotMagic = 0x53504e43u;  // "CNPS"
-constexpr std::uint32_t kSnapshotVersion = 1;
-// WAL records with this table_id register a table name: key = the real
-// table id, payload = the UTF-8 name. This keeps name->id mapping durable
-// without a separate catalog file.
-constexpr std::uint32_t kTableRegistryId = 0xffffffffu;
+
+/// The frame `type` of each record (see database.hpp).
+enum RecordType : std::uint8_t { kTable = 1, kRow = 2, kSnapshotEnd = 3 };
 
 std::string snapshot_path(const std::string& dir) { return dir + "/snapshot.db"; }
 std::string wal_path(const std::string& dir) { return dir + "/wal.log"; }
+
+const std::uint8_t* bytes_of(const std::string& s) {
+  return reinterpret_cast<const std::uint8_t*>(s.data());
+}
 }  // namespace
 
 Database Database::in_memory() { return Database(); }
@@ -30,41 +31,45 @@ bool Database::open(const std::string& dir) {
   dir_ = dir;
 
   tables_.clear();
-  if (std::filesystem::exists(snapshot_path(dir))) {
-    if (!load_snapshot_locked(snapshot_path(dir))) {
-      CAPES_LOG_WARN("waldb") << "snapshot corrupt, starting empty: "
-                              << snapshot_path(dir);
-      tables_.clear();
-    }
+  const std::string wal = wal_path(dir);
+  const bool snapshot_ok = !std::filesystem::exists(snapshot_path(dir)) ||
+                           load_snapshot_locked(snapshot_path(dir));
+  const auto replayed =
+      snapshot_ok ? WriteAheadLog::replay(
+                        wal, [this](const net::Frame& f) { apply_locked(f); },
+                        &wal_recovery_stats_)
+                  : std::nullopt;
+  if (!replayed) {
+    tables_.clear();
+    return false;
   }
-  const auto replayed = WriteAheadLog::replay(
-      wal_path(dir), [this](const WalRecord& rec) {
-        if (rec.table_id == kTableRegistryId) {
-          // Table registration: ensure the table exists with its name.
-          Table* t = table_by_id_locked(static_cast<std::uint32_t>(rec.key));
-          if (t != nullptr) {
-            const std::string name(rec.payload.begin(), rec.payload.end());
-            rename_table_locked(t, name);
-          }
-          return;
-        }
-        Table* t = table_by_id_locked(rec.table_id);
-        if (t != nullptr) t->put(rec.key, rec.payload);
-      },
-      &wal_recovery_stats_);
-  if (!replayed) return false;
   if (wal_recovery_stats_.truncated_records > 0) {
-    CAPES_LOG_WARN("waldb") << "WAL recovery truncated "
-                            << wal_recovery_stats_.truncated_records
-                            << " record(s) ("
-                            << wal_recovery_stats_.truncated_bytes
-                            << " bytes) after a torn/corrupt tail in "
-                            << wal_path(dir) << "; replayed " << *replayed
-                            << " valid record(s)";
+    const auto& cut = wal_recovery_stats_;
+    CAPES_LOG_WARN("waldb")
+        << "WAL recovery truncated " << cut.truncated_records << " record(s) ("
+        << cut.truncated_bytes << " bytes) after a torn/corrupt tail in " << wal
+        << "; replayed " << *replayed << " valid record(s)";
+    // Cut the dead tail off, or the records appended from now on would
+    // sit behind it and be lost at the next recovery.
+    const auto size = std::filesystem::file_size(wal, ec);
+    if (!ec) std::filesystem::resize_file(wal, size - cut.truncated_bytes, ec);
+    if (ec) return false;
   }
-  if (!wal_.open(wal_path(dir))) return false;
+  if (!wal_.open(wal)) return false;
   durable_ = true;
   return true;
+}
+
+void Database::apply_locked(const net::Frame& record) {
+  // Table ids are dense: a table frame registers the next id, a row frame
+  // names a registered one, and any other record is skipped.
+  if (record.type == kTable && record.topic == tables_.size()) {
+    tables_.push_back(std::make_unique<Table>(
+        static_cast<std::uint32_t>(record.topic),
+        std::string(record.payload.begin(), record.payload.end())));
+  } else if (record.type == kRow && record.topic < tables_.size()) {
+    tables_[record.topic]->put(record.tick, record.payload);
+  }
 }
 
 Table* Database::table(const std::string& name) {
@@ -79,34 +84,8 @@ Table* Database::table_locked(const std::string& name) {
   const auto id = static_cast<std::uint32_t>(tables_.size());
   tables_.push_back(std::make_unique<Table>(id, name));
   Table* t = tables_.back().get();
-  if (durable_) {
-    WalRecord reg;
-    reg.table_id = kTableRegistryId;
-    reg.key = id;
-    reg.payload.assign(name.begin(), name.end());
-    wal_.append(reg);
-  }
+  if (durable_) wal_.append(kTable, 0, id, bytes_of(name), name.size());
   return t;
-}
-
-void Database::rename_table_locked(Table* table, const std::string& name) {
-  if (table->name() == name) return;
-  // Tables are immutable value objects keyed by (id, name); rebuild with
-  // the registered name, preserving rows.
-  auto rebuilt = std::make_unique<Table>(table->id(), name);
-  for (const auto& [k, v] : table->rows()) rebuilt->put(k, v);
-  tables_[table->id()] = std::move(rebuilt);
-}
-
-Table* Database::table_by_id_locked(std::uint32_t id) {
-  // WAL records may reference tables created after the snapshot; create
-  // placeholders so replay never drops data.
-  while (tables_.size() <= id) {
-    const auto next = static_cast<std::uint32_t>(tables_.size());
-    tables_.push_back(
-        std::make_unique<Table>(next, "table" + std::to_string(next)));
-  }
-  return tables_[id].get();
 }
 
 const Table* Database::find_table(const std::string& name) const {
@@ -121,12 +100,9 @@ bool Database::put(const std::string& table_name, std::int64_t key,
                    std::vector<std::uint8_t> value) {
   std::lock_guard<std::mutex> lock(mu_);
   Table* t = table_locked(table_name);
-  if (durable_) {
-    WalRecord rec;
-    rec.table_id = t->id();
-    rec.key = key;
-    rec.payload = value;
-    if (!wal_.append(rec)) return false;
+  if (durable_ &&
+      !wal_.append(kRow, key, t->id(), value.data(), value.size())) {
+    return false;
   }
   t->put(key, std::move(value));
   return true;
@@ -142,58 +118,37 @@ std::optional<std::vector<std::uint8_t>> Database::get(
 }
 
 bool Database::write_snapshot_locked(const std::string& path) const {
-  util::BinaryWriter w;
-  w.put_u32(kSnapshotMagic);
-  w.put_u32(kSnapshotVersion);
-  w.put_u32(static_cast<std::uint32_t>(tables_.size()));
+  // A snapshot is written like a log under its own magic; reset() drops
+  // what a failed checkpoint may have left at `path`.
+  WriteAheadLog out;
+  bool ok = out.open(path, kSnapshotMagic) && out.reset();
+  std::int64_t rows = 0;
   for (const auto& t : tables_) {
-    w.put_string(t->name());
-    w.put_u64(t->count());
+    ok = ok && out.append(kTable, 0, t->id(), bytes_of(t->name()),
+                          t->name().size());
     for (const auto& [key, value] : t->rows()) {
-      w.put_i64(key);
-      w.put_u32(static_cast<std::uint32_t>(value.size()));
-      w.put_raw(value.data(), value.size());
+      ok = ok && out.append(kRow, key, t->id(), value.data(), value.size());
+      ++rows;
     }
   }
-  // Trailing CRC over the whole snapshot body.
-  const auto& body = w.buffer();
-  const std::uint32_t crc = util::crc32(body.data(), body.size());
-  util::BinaryWriter w2;
-  w2.put_raw(body.data(), body.size());
-  w2.put_u32(crc);
-  return util::write_file(path, w2.buffer());
+  return ok && out.append(kSnapshotEnd, rows, 0, nullptr, 0) && out.flush();
 }
 
 bool Database::load_snapshot_locked(const std::string& path) {
-  auto data = util::read_file(path);
-  if (!data || data->size() < 4) return false;
-  const std::size_t body_size = data->size() - 4;
-  util::BinaryReader crc_reader(data->data() + body_size, 4);
-  const auto stored_crc = crc_reader.get_u32();
-  if (!stored_crc || util::crc32(data->data(), body_size) != *stored_crc) {
-    return false;
-  }
-  util::BinaryReader r(data->data(), body_size);
-  auto magic = r.get_u32();
-  auto version = r.get_u32();
-  auto ntables = r.get_u32();
-  if (!magic || *magic != kSnapshotMagic || !version ||
-      *version != kSnapshotVersion || !ntables) {
-    return false;
-  }
-  for (std::uint32_t i = 0; i < *ntables; ++i) {
-    auto name = r.get_string();
-    auto nrows = r.get_u64();
-    if (!name || !nrows) return false;
-    Table* t = table_locked(*name);
-    for (std::uint64_t j = 0; j < *nrows; ++j) {
-      auto key = r.get_i64();
-      auto len = r.get_u32();
-      if (!key || !len) return false;
-      std::vector<std::uint8_t> value(*len);
-      if (!r.get_raw(value.data(), value.size())) return false;
-      t->put(*key, std::move(value));
-    }
+  // Whole: the last valid frame is an end frame counting every row before
+  // it (bytes after it that are no frame cannot add to the snapshot).
+  std::int64_t rows = 0;
+  bool whole = false;
+  const auto frames =
+      read_frames(path, kSnapshotMagic, [&](const net::Frame& f) {
+        whole = f.type == kSnapshotEnd && f.tick == rows;
+        rows += f.type == kRow ? 1 : 0;
+        apply_locked(f);
+      });
+  if (!frames) return false;
+  if (!whole) {
+    CAPES_LOG_WARN("waldb") << "snapshot corrupt, starting empty: " << path;
+    tables_.clear();
   }
   return true;
 }

@@ -5,6 +5,11 @@
 // checkpoint() writes a full snapshot and truncates the WAL; open() loads
 // the snapshot then replays the WAL tail.
 //
+// Both are files of net frames (layout: wal.hpp): a table frame (topic =
+// table id, payload = name) and a row frame (topic = table id, tick = key,
+// payload = value). A snapshot ends with an end frame whose tick is the
+// row count, and is valid only whole.
+//
 // Concurrency: one writer (the Interface Daemon), many readers (the DRL
 // Engine); a single mutex keeps the API thread-safe, which matches the
 // paper's low-contention design (§3.3).
@@ -26,7 +31,9 @@ class Database {
   Database() = default;
 
   /// Open the database rooted at directory `dir` (created if missing).
-  /// Loads `snapshot.db` if present, then replays `wal.log`.
+  /// Loads `snapshot.db` if present, then replays `wal.log` and cuts off
+  /// its torn tail, if any. False, with both files left as they are, when
+  /// either cannot be read or is in another format (logged by name).
   bool open(const std::string& dir);
 
   /// In-memory only database (no durability); open() not required.
@@ -59,7 +66,6 @@ class Database {
   std::size_t table_count() const;
 
   bool is_durable() const { return durable_; }
-  const std::string& directory() const { return dir_; }
 
   /// What the last open() discarded from a torn/corrupt WAL tail (all
   /// zero after a clean recovery). Surfaced so operators can tell "the
@@ -70,8 +76,7 @@ class Database {
 
  private:
   Table* table_locked(const std::string& name);
-  Table* table_by_id_locked(std::uint32_t id);
-  void rename_table_locked(Table* table, const std::string& name);
+  void apply_locked(const net::Frame& record);
   bool load_snapshot_locked(const std::string& path);
   bool write_snapshot_locked(const std::string& path) const;
 

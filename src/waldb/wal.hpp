@@ -3,74 +3,75 @@
 // SQLite in WAL mode; this is our embedded equivalent: an append-only log
 // of CRC-protected records that survives crashes (a torn tail record is
 // detected by its CRC and dropped during replay).
+//
+// Every waldb file (this log and the Database snapshot) is an 8-byte
+// header, [u32 magic][u32 version 2] little-endian, then net frames (see
+// src/net/frame.hpp); waldb::Database owns what the frame fields mean.
 
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <optional>
 #include <string>
-#include <vector>
+
+#include "net/frame.hpp"
 
 namespace capes::waldb {
 
-/// One logical write: (table, key, payload).
-struct WalRecord {
-  std::uint32_t table_id = 0;
-  std::int64_t key = 0;
-  std::vector<std::uint8_t> payload;
-};
+/// Check a waldb file's header against `magic`, then hand its frames to
+/// `fn` up to the end or the first torn/corrupt frame, reporting the cut
+/// through `stats` when non-null. Returns the number of frames read; a
+/// missing file, or one ending inside its header, reads as zero. Returns
+/// nullopt, after logging the file and what it holds, when the file
+/// cannot be read or has another header (a version-1 file is refused).
+std::optional<std::size_t> read_frames(
+    const std::string& path, std::uint32_t magic,
+    const std::function<void(const net::Frame&)>& fn,
+    net::FrameReadStats* stats = nullptr);
 
-/// Append-only CRC-checked log file.
-///
-/// On-disk record framing: [u32 payload_len][u32 crc][u32 table_id]
-/// [i64 key][payload bytes], all little-endian; crc covers table_id, key
-/// and payload.
+/// Append-only writer of a waldb file; see the layout above. The header
+/// is written with the first record, so an empty log is an empty file.
 class WriteAheadLog {
  public:
+  static constexpr std::uint32_t kMagic = 0x4c415743u;  // "CWAL"
+
   WriteAheadLog() = default;
-  ~WriteAheadLog();
+  ~WriteAheadLog() { close(); }
 
   WriteAheadLog(const WriteAheadLog&) = delete;
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
-  /// Open (creating if necessary) the log at `path` for appending.
-  bool open(const std::string& path);
+  /// Open (creating if necessary) the file at `path` for appending.
+  bool open(const std::string& path, std::uint32_t magic = kMagic);
   void close();
   bool is_open() const { return file_ != nullptr; }
 
-  /// Append one record; returns false on I/O error.
-  bool append(const WalRecord& record);
+  /// Append one record (`sender` is not stored); false on I/O error.
+  bool append(const net::Frame& record);
+  bool append(std::uint8_t type, std::int64_t tick, std::uint64_t topic,
+              const std::uint8_t* payload, std::size_t payload_size);
 
   /// Flush buffered writes to the OS.
   bool flush();
 
   /// Bytes currently in the log file.
-  std::uint64_t size_bytes() const;
+  std::uint64_t size_bytes() const { return written_; }
 
   /// Truncate the log to empty (after a successful checkpoint).
   bool reset();
 
-  const std::string& path() const { return path_; }
+  using ReplayStats = net::FrameReadStats;
 
-  /// What a replay discarded: everything from the first corrupt/torn
-  /// record to the end of the file. `truncated_records` walks the dead
-  /// region's length prefixes, so for genuinely scrambled bytes it is an
-  /// estimate (always >= 1 whenever any tail was cut).
-  struct ReplayStats {
-    std::size_t truncated_records = 0;
-    std::uint64_t truncated_bytes = 0;
-  };
-
-  /// Replay a log file from disk, invoking `fn` per valid record. Stops at
-  /// the first corrupt/torn record (normal after a crash) and reports what
-  /// it discarded through `stats` when non-null. Returns the number of
-  /// records replayed, or nullopt if the file cannot be read at all (a
-  /// missing file replays as zero records).
+  /// Replay a log file from disk (read_frames with this log's magic).
   static std::optional<std::size_t> replay(
-      const std::string& path, const std::function<void(const WalRecord&)>& fn,
-      ReplayStats* stats = nullptr);
+      const std::string& path, const std::function<void(const net::Frame&)>& fn,
+      ReplayStats* stats = nullptr) {
+    return read_frames(path, kMagic, fn, stats);
+  }
 
  private:
   std::string path_;
+  std::uint32_t magic_ = kMagic;
   std::FILE* file_ = nullptr;
   std::uint64_t written_ = 0;
 };

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
+#include "util/frame.hpp"
 #include "waldb/database.hpp"
 
 namespace capes::core {
@@ -244,6 +247,52 @@ TEST(DrlEngine, CheckpointWrittenAtCadenceAndRestoredExactly) {
   const auto before = resumed.weights_fingerprint();
   EXPECT_FALSE(resumed.restore_checkpoint(empty_db));
   EXPECT_EQ(resumed.weights_fingerprint(), before);
+}
+
+TEST(DrlEngine, ForgedCheckpointInTheWalIsRejectedWithoutThrowing) {
+  auto db = waldb::Database::in_memory();
+  rl::ReplayDb replay(replay_options());
+  fill_replay(replay, 30);
+  DrlEngineOptions opts = engine_options();
+  opts.checkpoint_ticks = 1;
+  DrlEngine engine(opts, replay);
+  engine.set_checkpoint_store(&db);
+  engine.compute_action(25, true);
+  engine.train_tick();
+  auto blob = db.get("learner", 0);
+  ASSERT_TRUE(blob.has_value());
+
+  // LCPK header (16 bytes), Dqn state header (16), online net size (8),
+  // then the online Mlp: forge its first f32 count to wrap a u64 check.
+  constexpr std::size_t kMlpAt = 40;
+  std::uint8_t* mlp = blob->data() + kMlpAt;
+  const std::size_t name_at = 13 + 8 * std::size_t{util::get_le32(mlp + 9)};
+  const std::size_t count_at = name_at + 4 + util::get_le32(mlp + name_at);
+  ASSERT_LT(kMlpAt + count_at + 8, blob->size());
+  util::put_le64(mlp + count_at, (std::uint64_t{1} << 62) + 1);
+
+  // Store it as a valid-CRC WAL record and recover it from disk.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("capes_forged_lcpk_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  {
+    waldb::Database durable;
+    ASSERT_TRUE(durable.open(dir));
+    ASSERT_TRUE(durable.put("learner", 0, *blob));
+    ASSERT_TRUE(durable.flush());
+  }
+  waldb::Database recovered;
+  ASSERT_TRUE(recovered.open(dir));
+  rl::ReplayDb replay2(replay_options());
+  DrlEngine resumed(opts, replay2);
+  const auto before = resumed.weights_fingerprint();
+  bool restored = true;
+  EXPECT_NO_THROW(restored = resumed.restore_checkpoint(recovered));
+  EXPECT_FALSE(restored);
+  EXPECT_EQ(resumed.weights_fingerprint(), before);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(DrlEngine, AsyncCheckpointMatchesSyncCheckpoint) {

@@ -403,6 +403,24 @@ TEST(Distributed, HelloWithNonContiguousSlicesIsRejected) {
   server.close();
 }
 
+TEST(Distributed, HelloWithForgedCountsIsRejected) {
+  core::HelloPayload hello;
+  hello.meta.num_nodes = 1;
+  hello.meta.pis_per_node = 4;
+  hello.meta.num_actions = 3;
+  hello.domains = {{1, {{"a", 0.0, 10.0, 1.0, 5.0}}}};
+  const std::vector<std::uint8_t> blob = core::encode_hello(hello);
+  ASSERT_TRUE(core::decode_hello(blob).has_value());
+  // version, meta length, meta, then the domain count; the first domain
+  // is its u64 action offset, then its parameter count.
+  const std::size_t domains_at = 8 + util::get_le32(blob.data() + 4);
+  for (const std::size_t at : {domains_at, domains_at + 4 + 8}) {
+    std::vector<std::uint8_t> forged = blob;
+    util::put_le32(forged.data() + at, 0xFFFFFFFFu);
+    EXPECT_FALSE(core::decode_hello(forged).has_value()) << "count at " << at;
+  }
+}
+
 TEST(Distributed, DaemonDeathMidPhaseDoesNotHangTheAgent) {
   ServiceThread service;
   ASSERT_TRUE(service.start());

@@ -165,6 +165,20 @@ TEST(NetFrame, InsaneLengthPrefixIsCorruptNotAnAllocation) {
   EXPECT_EQ(parser.next(&got), ParseResult::kCorrupt);
 }
 
+TEST(NetFrame, PayloadBoundIsSetAtConstruction) {
+  const Frame big = make_frame(1, 0, 0, 0, kMaxFramePayload + 1);
+  std::vector<std::uint8_t> wire;
+  encode_frame(big, &wire);
+  Frame got;
+  FrameParser tcp;  // the tcp and capture bound
+  tcp.feed(wire.data(), wire.size());
+  EXPECT_EQ(tcp.next(&got), ParseResult::kCorrupt);
+  FrameParser file(kMaxFramePayload + 1);
+  file.feed(wire.data(), wire.size());
+  ASSERT_EQ(file.next(&got), ParseResult::kOk);
+  expect_same(big, got);
+}
+
 TEST(NetFrame, StoredCrcMatchesFrameCrc) {
   const Frame sent = make_frame(6, 123, 9, 2, 16);
   std::vector<std::uint8_t> wire;

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "util/frame.hpp"
 #include "util/rng.hpp"
 
 namespace capes::nn {
@@ -183,6 +184,18 @@ TEST(Mlp, DeserializeRejectsTruncation) {
   Mlp a({3, 4, 2}, rng);
   auto bytes = a.serialize();
   bytes.resize(bytes.size() / 2);
+  EXPECT_EQ(Mlp::deserialize(bytes), nullptr);
+}
+
+TEST(Mlp, DeserializeRejectsForgedVectorCount) {
+  util::Rng rng(15);
+  Mlp a({3, 4, 2}, rng);
+  auto bytes = a.serialize();
+  // magic, version, activation, size count, sizes, then the first
+  // parameter's name and its f32 count.
+  const std::size_t name_at = 13 + 8 * std::size_t{util::get_le32(&bytes[9])};
+  const std::size_t count_at = name_at + 4 + util::get_le32(&bytes[name_at]);
+  util::put_le64(&bytes[count_at], (std::uint64_t{1} << 62) + 1);
   EXPECT_EQ(Mlp::deserialize(bytes), nullptr);
 }
 

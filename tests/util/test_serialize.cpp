@@ -102,6 +102,16 @@ TEST(Serialize, TruncatedVectorFails) {
   EXPECT_FALSE(r.get_f32_vector().has_value());
 }
 
+TEST(Serialize, ForgedVectorCountCannotWrapPastTheCheck) {
+  // 4 * (2^62 + 1) wraps to 4 in u64, which a multiplying check accepts.
+  BinaryWriter w;
+  w.put_u64((std::uint64_t{1} << 62) + 1);
+  w.put_f32(1.0f);
+  w.put_f32(2.0f);
+  BinaryReader r(w.buffer());
+  EXPECT_FALSE(r.get_f32_vector().has_value());
+}
+
 TEST(Serialize, RawBytes) {
   BinaryWriter w;
   const std::uint8_t data[] = {9, 8, 7};

@@ -25,11 +25,11 @@ class WalTest : public ::testing::Test {
   std::string path_;
 };
 
-WalRecord make_record(std::uint32_t table, std::int64_t key,
-                      std::vector<std::uint8_t> payload) {
-  WalRecord r;
-  r.table_id = table;
-  r.key = key;
+net::Frame make_record(std::uint32_t table, std::int64_t key,
+                       std::vector<std::uint8_t> payload) {
+  net::Frame r;
+  r.topic = table;
+  r.tick = key;
   r.payload = std::move(payload);
   return r;
 }
@@ -42,17 +42,17 @@ TEST_F(WalTest, AppendAndReplay) {
     ASSERT_TRUE(wal.append(make_record(1, 2, {4})));
     ASSERT_TRUE(wal.flush());
   }
-  std::vector<WalRecord> got;
-  auto n = WriteAheadLog::replay(path_, [&](const WalRecord& r) {
+  std::vector<net::Frame> got;
+  auto n = WriteAheadLog::replay(path_, [&](const net::Frame& r) {
     got.push_back(r);
   });
   ASSERT_TRUE(n.has_value());
   EXPECT_EQ(*n, 2u);
   ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0].table_id, 0u);
-  EXPECT_EQ(got[0].key, 1);
+  EXPECT_EQ(got[0].topic, 0u);
+  EXPECT_EQ(got[0].tick, 1);
   EXPECT_EQ(got[0].payload, (std::vector<std::uint8_t>{1, 2, 3}));
-  EXPECT_EQ(got[1].key, 2);
+  EXPECT_EQ(got[1].tick, 2);
 }
 
 TEST_F(WalTest, EmptyPayloadAllowed) {
@@ -63,8 +63,8 @@ TEST_F(WalTest, EmptyPayloadAllowed) {
     wal.flush();
   }
   std::size_t count = 0;
-  WriteAheadLog::replay(path_, [&](const WalRecord& r) {
-    EXPECT_EQ(r.key, -7);
+  WriteAheadLog::replay(path_, [&](const net::Frame& r) {
+    EXPECT_EQ(r.tick, -7);
     EXPECT_TRUE(r.payload.empty());
     ++count;
   });
@@ -73,7 +73,7 @@ TEST_F(WalTest, EmptyPayloadAllowed) {
 
 TEST_F(WalTest, MissingFileReplaysZero) {
   auto n = WriteAheadLog::replay((dir_ / "nope.log").string(),
-                                 [](const WalRecord&) { FAIL(); });
+                                 [](const net::Frame&) { FAIL(); });
   ASSERT_TRUE(n.has_value());
   EXPECT_EQ(*n, 0u);
 }
@@ -90,8 +90,8 @@ TEST_F(WalTest, TornTailDropped) {
   const auto size = std::filesystem::file_size(path_);
   std::filesystem::resize_file(path_, size - 3);
   std::vector<std::int64_t> keys;
-  auto n = WriteAheadLog::replay(path_, [&](const WalRecord& r) {
-    keys.push_back(r.key);
+  auto n = WriteAheadLog::replay(path_, [&](const net::Frame& r) {
+    keys.push_back(r.tick);
   });
   ASSERT_TRUE(n.has_value());
   EXPECT_EQ(*n, 1u);
@@ -110,12 +110,12 @@ TEST_F(WalTest, TornTailSurfacesStats) {
   const auto size = std::filesystem::file_size(path_);
   std::filesystem::resize_file(path_, size - 3);
   WriteAheadLog::ReplayStats stats;
-  auto n = WriteAheadLog::replay(path_, [](const WalRecord&) {}, &stats);
+  auto n = WriteAheadLog::replay(path_, [](const net::Frame&) {}, &stats);
   ASSERT_TRUE(n.has_value());
   EXPECT_EQ(*n, 1u);
   EXPECT_EQ(stats.truncated_records, 1u);
-  // record 2 = 20 fixed bytes + 3 payload, minus the 3 torn off the end.
-  EXPECT_EQ(stats.truncated_bytes, 20u);
+  // record 2 = fixed bytes + 3 payload, minus the 3 torn off the end.
+  EXPECT_EQ(stats.truncated_bytes, net::kFrameFixedBytes);
 }
 
 TEST_F(WalTest, CleanReplayReportsZeroStats) {
@@ -127,7 +127,7 @@ TEST_F(WalTest, CleanReplayReportsZeroStats) {
   }
   WriteAheadLog::ReplayStats stats;
   stats.truncated_records = 99;  // must be reset even when nothing is torn
-  auto n = WriteAheadLog::replay(path_, [](const WalRecord&) {}, &stats);
+  auto n = WriteAheadLog::replay(path_, [](const net::Frame&) {}, &stats);
   ASSERT_TRUE(n.has_value());
   EXPECT_EQ(*n, 1u);
   EXPECT_EQ(stats.truncated_records, 0u);
@@ -147,16 +147,16 @@ TEST_F(WalTest, MidFileCorruptionCountsAllDroppedRecords) {
   // (replay cannot trust frame boundaries past a bad CRC).
   {
     std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
-    const auto one = 20 + 2;  // fixed header + payload
-    f.seekp(one + 20, std::ios::beg);
+    const auto one = net::kFrameFixedBytes + 2;  // fixed header + payload
+    f.seekp(one + net::kFrameFixedBytes, std::ios::beg);
     f.put('\x7f');
   }
   WriteAheadLog::ReplayStats stats;
-  auto n = WriteAheadLog::replay(path_, [](const WalRecord&) {}, &stats);
+  auto n = WriteAheadLog::replay(path_, [](const net::Frame&) {}, &stats);
   ASSERT_TRUE(n.has_value());
   EXPECT_EQ(*n, 1u);
   EXPECT_EQ(stats.truncated_records, 3u);
-  EXPECT_EQ(stats.truncated_bytes, 3u * 22u);
+  EXPECT_EQ(stats.truncated_bytes, 3u * (net::kFrameFixedBytes + 2));
 }
 
 TEST_F(WalTest, CorruptedPayloadDetected) {
@@ -176,7 +176,7 @@ TEST_F(WalTest, CorruptedPayloadDetected) {
     f.seekp(-2, std::ios::end);
     f.put(static_cast<char>(c ^ 0xFF));
   }
-  auto n = WriteAheadLog::replay(path_, [&](const WalRecord&) {});
+  auto n = WriteAheadLog::replay(path_, [&](const net::Frame&) {});
   ASSERT_TRUE(n.has_value());
   EXPECT_EQ(*n, 0u);
 }
@@ -194,7 +194,7 @@ TEST_F(WalTest, ReopenAppends) {
     ASSERT_TRUE(wal.append(make_record(0, 2, {2})));
   }
   std::size_t count = 0;
-  WriteAheadLog::replay(path_, [&](const WalRecord&) { ++count; });
+  WriteAheadLog::replay(path_, [&](const net::Frame&) { ++count; });
   EXPECT_EQ(count, 2u);
 }
 
@@ -208,7 +208,7 @@ TEST_F(WalTest, ResetTruncates) {
   EXPECT_EQ(wal.size_bytes(), 0u);
   wal.close();
   std::size_t count = 0;
-  WriteAheadLog::replay(path_, [&](const WalRecord&) { ++count; });
+  WriteAheadLog::replay(path_, [&](const net::Frame&) { ++count; });
   EXPECT_EQ(count, 0u);
 }
 
@@ -236,9 +236,9 @@ TEST_F(WalTest, ManyRecordsRoundTrip) {
     }
   }
   std::int64_t expected = 0;
-  auto n = WriteAheadLog::replay(path_, [&](const WalRecord& r) {
-    EXPECT_EQ(r.key, expected);
-    EXPECT_EQ(r.table_id, static_cast<std::uint32_t>(expected % 3));
+  auto n = WriteAheadLog::replay(path_, [&](const net::Frame& r) {
+    EXPECT_EQ(r.tick, expected);
+    EXPECT_EQ(r.topic, static_cast<std::uint32_t>(expected % 3));
     ++expected;
   });
   EXPECT_EQ(*n, 500u);

@@ -159,10 +159,10 @@ int main(int argc, char** argv) {
 
   core::CapesOptions conf_overlay;
   const bool have_conf = !args.conf.empty();
-  if (have_conf && !load_overlay(args.conf, &conf_overlay)) return 2;
+  if (have_conf && !load_overlay(args.conf, &conf_overlay)) return 1;
   core::CapesOptions diff_overlay;
   const bool have_diff = !args.diff.empty();
-  if (have_diff && !load_overlay(args.diff, &diff_overlay)) return 2;
+  if (have_diff && !load_overlay(args.diff, &diff_overlay)) return 1;
 
   core::TraceReplayReport report;
   if (!replay_once(args, have_conf ? &conf_overlay : nullptr, &report)) {
